@@ -21,6 +21,8 @@ from . import fixtures
 from .conservation import check_mass_vector, conservation_report, conserved_mass_vector
 from .dsl import ParseError, parse_network
 from .jacobian import (
+    SYMBOLIC_OUTFLOW,
+    UNIT_OUTFLOW,
     augmented_mass_action_jacobian,
     build_general_jacobian,
     census_report,
@@ -29,6 +31,7 @@ from .jacobian import (
 )
 from .network import FlowAugmentation, NetworkError, with_general_kinetics
 from .numeric import (
+    NumericSystem,
     PathTrackingError,
     boundary_audit,
     box_audit,
@@ -38,7 +41,7 @@ from .numeric import (
     numeric_system_from_network,
     track_homotopy,
 )
-from .polynomial import DEFAULT_MAX_DETERMINANT_DIM, DeterminantSizeError, determinant_expand
+from .polynomial import DEFAULT_MAX_DETERMINANT_DIM, DeterminantSizeError, determinant_expand, rate_constant
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -168,50 +171,46 @@ def _cmd_count(args):
     if args.fixture in fixtures.NUMERIC_FIXTURES:
         return _count_numeric_fixture(args)
     if args.flow_only:
-        return _count_flow_only(args)
-    net = _load_network(args)
-    if net.flow_reactions():
-        raise NetworkError("network files must not contain flow reactions; flows are added by the analysis")
-    flows = FlowAugmentation(
-        _parse_vector(args.inflow, net.n, "inflow"),
-        _parse_vector(args.outflow, net.n, "outflow"),
-    )
-    bindings = _parse_bindings(args.k)
-    sys_ = numeric_system_from_network(net, bindings, flows)
-    if args.mass:
-        m = [Fraction(p) for p in args.mass.split(",")]
-        verdict = check_mass_vector(net, m)
-        if verdict.value == "neither":
-            raise NetworkError("--mass vector is neither conserved nor dissipating for this network")
-        m_floats = [float(x) for x in m]
+        # Pure flows: f(c) = c_in - outflow*c, unique equilibrium c_in/outflow.
+        n = max(len([p for p in args.inflow.split(",") if p]), len([p for p in args.outflow.split(",") if p]))
+        flows = FlowAugmentation(_parse_vector(args.inflow, n, "inflow"), _parse_vector(args.outflow, n, "outflow"))
+        c_in = np.array(flows.inflow)
+        lam = np.array(flows.outflow)
+        sys_ = NumericSystem(
+            n,
+            f=lambda c: c_in - lam * c,
+            jac=lambda c: -np.diag(lam),
+            g=lambda c: np.zeros(n),
+            c_in=c_in,
+            outflow=lam,
+            provenance="flow-only",
+        )
+        m_floats = [1.0] * n
+        census_block, certified = None, True
     else:
-        mv = conserved_mass_vector(net)
-        if mv is None:
-            raise NetworkError("network is not conservative; supply a dissipating --mass vector")
-        m_floats = list(mv.as_floats())
-    bound = args.domain_mult * float(np.dot(m_floats, flows.inflow))
+        net = _load_network(args)
+        if net.flow_reactions():
+            raise NetworkError("network files must not contain flow reactions; flows are added by the analysis")
+        flows = FlowAugmentation(
+            _parse_vector(args.inflow, net.n, "inflow"),
+            _parse_vector(args.outflow, net.n, "outflow"),
+        )
+        bindings = _parse_bindings(args.k)
+        sys_ = numeric_system_from_network(net, bindings, flows)
+        if args.mass:
+            m = [Fraction(p) for p in args.mass.split(",")]
+            verdict = check_mass_vector(net, m)
+            if verdict.value == "neither":
+                raise NetworkError("--mass vector is neither conserved nor dissipating for this network")
+            m_floats = [float(x) for x in m]
+        else:
+            mv = conserved_mass_vector(net)
+            if mv is None:
+                raise NetworkError("network is not conservative; supply a dissipating --mass vector")
+            m_floats = list(mv.as_floats())
+        census_block, certified = _count_census(net, bindings, flows)
+
     domain = default_domain(m_floats, flows, args.domain_mult)
-
-    census_block = None
-    certified = False
-    try:
-        det = determinant_expand(augmented_mass_action_jacobian(net), max_dim=_max_dim())
-        census = sign_census(det, net.n)
-        conditions = dominance_conditions(det, census)
-        census_block = census_report(net, census, conditions)
-        certified = census.certified_one_signed
-        if not certified and conditions and census.unknown_sign_terms == 0:
-            # A one-signed determinant also follows when every dominance
-            # condition holds at the bound parameter values.
-            from .polynomial import rate_constant
-
-            values = {rate_constant(r.label): bindings.get(r.label, r.kinetics.value) for r in net.reactions}
-            values.update({rate_constant(f"{name}->0"): lam for name, lam in zip(net.names, flows.outflow)})
-            certified = all(c.holds_at(values) for c in conditions)
-            census_block["conditions_hold_at_parameters"] = certified
-    except (DeterminantSizeError, NetworkError):
-        pass
-
     audit = boundary_audit(sys_, domain, samples=2000, seed=args.seed)
     report_eq = count_equilibria(
         sys_, domain, starts=args.starts, seed=args.seed, expect_unique=certified and audit.clean
@@ -227,7 +226,7 @@ def _cmd_count(args):
         homotopy = {"stalled": True, "reason": str(exc), "last_lambda": exc.last_lambda}
 
     report = {
-        "domain": {"m": m_floats, "M": bound, "outflow": list(flows.outflow)},
+        "domain": {"m": m_floats, "M": domain.bound, "outflow": list(flows.outflow)},
         **report_eq.to_dict(),
         "homotopy": homotopy,
         "boundary_audit": audit.to_dict(),
@@ -237,40 +236,31 @@ def _cmd_count(args):
     return report, code
 
 
-def _count_flow_only(args):
-    """Pure-flow run: f(c) = c_in - outflow*c, unique equilibrium c_in/outflow."""
-    from .numeric import NumericSystem
+def _count_census(net, bindings, flows):
+    """Census block and certification verdict of a network at bound parameters.
 
-    n = max(len([p for p in args.inflow.split(",") if p]), len([p for p in args.outflow.split(",") if p]))
-    flows = FlowAugmentation(_parse_vector(args.inflow, n, "inflow"), _parse_vector(args.outflow, n, "outflow"))
-    c_in = np.array(flows.inflow)
-    lam = np.array(flows.outflow)
-    sys_ = NumericSystem(
-        n,
-        f=lambda c: c_in - lam * c,
-        jac=lambda c: -np.diag(lam),
-        g=lambda c: np.zeros(n),
-        c_in=c_in,
-        outflow=lam,
-        provenance="flow-only",
-    )
-    m = [1.0] * n
-    domain = default_domain(m, flows, args.domain_mult)
-    audit = boundary_audit(sys_, domain, samples=2000, seed=args.seed)
-    report_eq = count_equilibria(sys_, domain, starts=args.starts, seed=args.seed, expect_unique=True)
-    path = track_homotopy(sys_, domain)
-    report_eq.homotopy_endpoint = path.endpoint
-    report_eq.homotopy_match_index = match_endpoint(report_eq, path.endpoint)
-    homotopy = path.to_dict()
-    homotopy["matched_equilibrium"] = report_eq.homotopy_match_index
-    report = {
-        "domain": {"m": m, "M": args.domain_mult * float(np.dot(m, flows.inflow)), "outflow": list(flows.outflow)},
-        **report_eq.to_dict(),
-        "homotopy": homotopy,
-        "boundary_audit": audit.to_dict(),
-        "census": None,
-    }
-    return report, EXIT_OK if audit.clean else EXIT_UNCERTIFIED
+    Outflows other than 1 need the symbolic-outflow census: the unit one
+    folds terms whose outflow monomials differ, so its dominance
+    conditions hold only for unit outflows.  Returns (None, False) when
+    the network is too large to census or not mass-action.
+    """
+    outflow = UNIT_OUTFLOW if all(lam == 1.0 for lam in flows.outflow) else SYMBOLIC_OUTFLOW
+    try:
+        det = determinant_expand(augmented_mass_action_jacobian(net, outflow=outflow), max_dim=_max_dim())
+    except (DeterminantSizeError, NetworkError):
+        return None, False
+    census = sign_census(det, net.n)
+    conditions = dominance_conditions(det, census)
+    census_block = census_report(net, census, conditions)
+    certified = census.certified_one_signed
+    if not certified and conditions and census.unknown_sign_terms == 0:
+        # A one-signed determinant also follows when every dominance
+        # condition holds at the bound parameter values.
+        values = {rate_constant(r.label): bindings.get(r.label, r.kinetics.value) for r in net.reactions}
+        values.update({rate_constant(f"{name}->0"): lam for name, lam in zip(net.names, flows.outflow)})
+        certified = all(c.holds_at(values) for c in conditions)
+        census_block["conditions_hold_at_parameters"] = certified
+    return census_block, certified
 
 
 _THRON_KEYS = ("p1", "p2", "p3", "p4", "p5", "p6")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .network import GeneralMonotone, MassAction, NetworkError, ReactionNetwork
+from .network import Complex, GeneralMonotone, MassAction, NetworkError, Reaction, ReactionNetwork, make_reaction
 from .polynomial import (
     CONCENTRATION,
     Monomial,
@@ -68,14 +68,10 @@ def build_mass_action_rate(net: ReactionNetwork) -> SymbolicRate:
         mono = ()
         for idx, e in r.source.coeffs:
             mono = mono_mul(mono, ((concentration(idx, names[idx]), e),))
-        value = r.kinetics.value
-        if r.is_flow and value == 1.0:
-            rate = Polynomial.term(1, mono)
-        else:
-            k = rate_constant(r.label)
-            rate = Polynomial.term(1, mono_mul(((k, 1),), mono))
-            if value is not None:
-                bindings.append((k, float(value)))
+        factor = _rate_factor(r)
+        rate = Polynomial.term(1, mono_mul(factor, mono))
+        if factor and r.kinetics.value is not None:
+            bindings.append((rate_constant(r.label), float(r.kinetics.value)))
         vec = r.reaction_vector(net.n)
         for j, coeff in enumerate(vec):
             if coeff:
@@ -97,21 +93,14 @@ def build_general_jacobian(net: ReactionNetwork, outflow: str = UNIT_OUTFLOW) ->
     """Jacobian under general monotone kinetics, in kinetic-partial symbols.
 
     Entry (j, i) sums (target - source)_j times the partial symbol of each
-    reaction depending on species i, minus the outflow diagonal.  Outflow
-    entries are the constant 1 by default, or per-species symbols with
-    ``outflow="symbolic"``.  Flow reactions already present in the network
-    contribute their own diagonal instead.
+    reaction depending on species i, minus the outflow diagonal of
+    ``_subtract_outflows``.
     """
     names = net.names
     n = net.n
     J = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
-    has_outflow = [False] * n
     for r in net.reactions:
         if r.is_flow:
-            if r.is_outflow:
-                j = r.source.coeffs[0][0]
-                has_outflow[j] = True
-                J[j][j] = J[j][j] - _outflow_term(r.label, r.kinetics)
             continue
         kin = r.kinetics
         if not isinstance(kin, GeneralMonotone):
@@ -124,15 +113,7 @@ def build_general_jacobian(net: ReactionNetwork, outflow: str = UNIT_OUTFLOW) ->
             for j, coeff in enumerate(vec):
                 if coeff:
                     J[j][i] = J[j][i] + Polynomial.term(coeff, ((partial, 1),))
-    for j in range(n):
-        if has_outflow[j]:
-            continue
-        if outflow == UNIT_OUTFLOW:
-            J[j][j] = J[j][j] - Polynomial.constant(1)
-        elif outflow == SYMBOLIC_OUTFLOW:
-            J[j][j] = J[j][j] - Polynomial.variable(rate_constant(f"{names[j]}->0"))
-        else:
-            raise ValueError(f"unknown outflow mode {outflow!r}")
+    _subtract_outflows(J, net, outflow)
     return J
 
 
@@ -145,22 +126,36 @@ def augmented_mass_action_jacobian(net: ReactionNetwork, outflow: str = UNIT_OUT
     """
     if any(r.is_flow for r in net.reactions):
         raise NetworkError("network already contains flow reactions; pass the core network")
-    names = net.names
     J = symbolic_jacobian(build_mass_action_rate(net))
-    for j in range(net.n):
-        if outflow == UNIT_OUTFLOW:
-            J[j][j] = J[j][j] - Polynomial.constant(1)
-        elif outflow == SYMBOLIC_OUTFLOW:
-            J[j][j] = J[j][j] - Polynomial.variable(rate_constant(f"{names[j]}->0"))
-        else:
-            raise ValueError(f"unknown outflow mode {outflow!r}")
+    _subtract_outflows(J, net, outflow)
     return J
 
 
-def _outflow_term(label: str, kinetics) -> Polynomial:
-    if isinstance(kinetics, MassAction) and kinetics.value == 1.0:
-        return Polynomial.constant(1)
-    return Polynomial.variable(rate_constant(label))
+def _subtract_outflows(J: List[List[Polynomial]], net: ReactionNetwork, outflow: str) -> None:
+    """Subtract each species' outflow constant from the Jacobian diagonal.
+
+    A species X with an outflow reaction X -> 0 in the network uses that
+    reaction's constant; every other species gets one, 1 with
+    ``outflow="unit"`` and symbolic with ``outflow="symbolic"``.
+    ``_rate_factor`` turns each constant into its diagonal entry.
+    """
+    if outflow not in (UNIT_OUTFLOW, SYMBOLIC_OUTFLOW):
+        raise ValueError(f"unknown outflow mode {outflow!r}")
+    kinetics = MassAction(1.0 if outflow == UNIT_OUTFLOW else None)
+    drains = {r.source.coeffs[0][0]: r for r in net.reactions if r.is_outflow}
+    for sp in net.species:
+        j = sp.index
+        r = drains.get(j) or make_reaction(Complex(((j, 1),)), Complex(()), kinetics, net.names)
+        J[j][j] = J[j][j] - Polynomial.term(1, _rate_factor(r))
+
+
+def _rate_factor(r: Reaction) -> Monomial:
+    """Rate-constant factor of a reaction's rate: the symbol k[label], except
+    a mass-action flow constant of exactly 1 (the usual unit-outflow
+    normalisation), which folds into the integer coefficient."""
+    if r.is_flow and isinstance(r.kinetics, MassAction) and r.kinetics.value == 1.0:
+        return ()
+    return ((rate_constant(r.label), 1),)
 
 
 @dataclass(frozen=True)

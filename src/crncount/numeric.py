@@ -2,17 +2,19 @@
 degree estimation, bounded domains, and boundary audits.
 
 All searches are deterministic given their seed: start points come from a
-scrambled Halton sequence, runs are merged in lexicographic order, and no
-wall-clock or scheduling state enters any report.
+scrambled Halton sequence (``_halton``, the same points as scipy's
+``qmc.Halton(d, scramble=True, seed=seed)``), runs are merged in
+lexicographic order, and no wall-clock or scheduling state enters any
+report.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .conservation import MassVector, conserved_mass_vector
 from .network import FlowAugmentation, GeneralMonotone, MassAction, NetworkError, ReactionNetwork
@@ -231,7 +233,7 @@ class BoxDomain:
         return float(min(np.min(c - self.lo), np.min(self.hi - c)))
 
     def sample_interior(self, count: int, seed: int) -> np.ndarray:
-        u = qmc.Halton(self.n, scramble=True, seed=seed).random(count)
+        u = _halton(self.n, count, seed)
         u = np.clip(u, 1e-9, 1 - 1e-9)
         return self.lo + u * (self.hi - self.lo)
 
@@ -244,10 +246,50 @@ class BoxDomain:
 def _simplex_points(n: int, count: int, seed: int, on_face: bool) -> np.ndarray:
     """Low-discrepancy points in {x > 0, sum x < 1} (or on sum x = 1)."""
     dim = n if on_face else n + 1
-    u = qmc.Halton(dim, scramble=True, seed=seed).random(count)
+    u = _halton(dim, count, seed)
     e = -np.log1p(-np.clip(u, 1e-12, 1 - 1e-12))
     x = e[:, :n] / e.sum(axis=1, keepdims=True)
     return x
+
+
+def _halton(d: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of a scrambled d-dimensional Halton sequence.
+
+    Owen's randomized Halton (arXiv:1706.02808): coordinate i is the van der
+    Corput radical inverse in the i-th prime b, with digit j of the point
+    index passed through its own random permutation of range(b).  The
+    permutations, the digit count ceil(54/log2 b) - 1, the digit scales
+    b^-(j+1) taken by repeated division, the digit-order summation and the
+    column-major (count, d) result all follow scipy's
+    ``qmc.Halton(d, scramble=True, seed=seed).random(count)``, whose points
+    this returns bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    points = np.zeros((d, count))
+    for row, base in zip(points, _primes(d)):
+        digits = math.ceil(54 / math.log2(base)) - 1
+        perms = rng.permuted(np.tile(np.arange(base), (digits, 1)), axis=1)
+        scales = np.divide.accumulate(np.r_[1.0, np.full(digits, float(base))])[1:]
+        terms = perms * scales[:, None]
+        index = np.arange(count)
+        j = 0
+        while index.any():
+            index, digit = np.divmod(index, base)
+            row += terms[j, digit]
+            j += 1
+        for term in terms[j:, 0].tolist():  # every higher digit is 0
+            row += term
+    return points.T
+
+
+def _primes(count: int) -> List[int]:
+    primes: List[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
 
 
 def make_domain(m, flows: FlowAugmentation, bound: float) -> MassDomain:
@@ -663,8 +705,9 @@ def search_multistationarity(
 ) -> Optional[MultistationarityWitness]:
     """Randomised search for parameters with two or more equilibria.
 
-    Skipped immediately (returns None) when the sign census certifies a
-    one-signed determinant, since multiple zeros are then impossible.
+    Skipped immediately (returns None) when the symbolic-outflow sign
+    census certifies a one-signed determinant, since multiple zeros are
+    then impossible for every rate and outflow the sampler may draw.
     ``sampler`` maps an RNG to {"k": {label: value}, "inflow"?: vector,
     "outflow"?: vector}.  A candidate counts as a witness only when its
     degree estimate still equals (-1)^n, so an even number of found roots
@@ -677,7 +720,7 @@ def search_multistationarity(
     if not net.core_reactions():
         return None  # pure-flow system: the equilibrium is unique outright
     try:
-        det = determinant_expand(augmented_mass_action_jacobian(net))
+        det = determinant_expand(augmented_mass_action_jacobian(net, outflow="symbolic"))
         census = sign_census(det, net.n)
         if census.certified_one_signed:
             return None

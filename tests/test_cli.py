@@ -191,3 +191,16 @@ def test_numeric_fixture_rejected_for_census(capsys):
     code, _, err = _run(capsys, "census", "--fixture", "mapk-thron")
     assert code == 1
     assert "numeric model" in err
+
+
+def test_count_non_unit_outflow_uses_symbolic_census(capsys):
+    # The unit-outflow condition k[C->2A] <= 1 holds at 0.5, but with
+    # outflow 0.25 the sound condition k[C->2A] <= k[C->0] fails.
+    code, out, _ = _run(
+        capsys, "count", "--fixture", "example-6.1",
+        "--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=0.5", "--outflow", "0.25",
+    )
+    report = json.loads(out)
+    assert code == 2
+    assert report["census"]["conditions_hold_at_parameters"] is False
+    assert [c["inequality"] for c in report["census"]["dominance_conditions"]] == ["1*k[C->2A] <= 1*k[C->0]"]
