@@ -1,5 +1,10 @@
 """Numeric equilibrium finding: multistart Newton, homotopy continuation,
-degree estimation, bounded domains, and boundary audits.
+degree estimation, bounded domains, and sampled boundary audits.
+
+The audits check by sampling that f has no zeros on a domain boundary.
+They serve custom systems and the box cascades; for network-derived
+systems, where ``crn count`` states this from the network's structure,
+they are its test oracle.
 
 All searches are deterministic given their seed: start points come from a
 scrambled Halton sequence (``_halton``, the same points as scipy's
@@ -39,8 +44,10 @@ class NumericSystem:
     ``f`` is the full right-hand side and ``jac`` its Jacobian (valid on
     the open orthant).  Systems built from flow-augmented networks also
     carry the decomposition f(c) = c_in - outflow*c + g(c), which the
-    homotopy and boundary audits need; standalone fixtures may leave the
-    flow fields as None.  Evaluators must be pure.
+    homotopy and ``boundary_audit`` need and check for on entry;
+    standalone fixtures may leave the flow fields as None, and then
+    ``f_lambda``/``jac_lambda`` must not be called.  Evaluators must be
+    pure.
     """
 
     n: int
@@ -57,11 +64,9 @@ class NumericSystem:
 
     def f_lambda(self, c: np.ndarray, lam: float) -> np.ndarray:
         """Homotopy family c_in - outflow*c + lam * g(c)."""
-        self._require_flows()
         return self.c_in - self.outflow * c + lam * self.g(c)
 
     def jac_lambda(self, c: np.ndarray, lam: float) -> np.ndarray:
-        self._require_flows()
         return lam * (self.jac(c) + np.diag(self.outflow)) - np.diag(self.outflow)
 
     def _require_flows(self):
@@ -84,7 +89,8 @@ def numeric_system_from_network(
 
     Raises:
         NetworkError: on flow reactions in the network, a missing rate
-            constant, or a general reaction without an evaluator.
+            constant or one that is not finite and > 0, or a general
+            reaction without an evaluator.
     """
     if any(r.is_flow for r in net.reactions):
         raise NetworkError("pass the core network; flows are supplied separately")
@@ -98,6 +104,8 @@ def numeric_system_from_network(
             k = r.kinetics.value if r.kinetics.value is not None else rate_constants.get(r.label)
             if k is None:
                 raise NetworkError(f"missing parameter binding for rate constant of {r.label}")
+            if not (math.isfinite(k) and k > 0):
+                raise NetworkError(f"rate constant of {r.label} must be finite and > 0, got {k}")
             y = np.array(r.source.as_vector(n), dtype=float)
             mass_rows.append((float(k), y, vec))
         elif isinstance(r.kinetics, GeneralMonotone):
@@ -600,19 +608,18 @@ class BoundaryAudit:
     def clean(self) -> bool:
         return not self.side_violations and not self.outer_violations
 
-    def to_dict(self) -> dict:
-        return {
-            "side_violations": self.side_violations,
-            "outer_violations": self.outer_violations,
-            "samples": {"sides": self.side_samples, "outer": self.outer_samples},
-        }
-
 
 LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def boundary_audit(sys: NumericSystem, domain: MassDomain, samples: int = 1000, seed: int = 0) -> BoundaryAudit:
-    """Audit the sides and the outer boundary of a mass-bounded domain."""
+    """Audit the sides and the outer boundary of a mass-bounded domain.
+
+    The check for custom systems.  For a flow-augmented mass-action
+    network with a conserved or dissipating m, ``crn count`` certifies
+    the boundary from structure instead, and this audit is the test
+    oracle of that argument.
+    """
     sys._require_flows()
     n = sys.n
     per_side = max(1, samples // (2 * n))
@@ -645,9 +652,6 @@ class BoxAudit:
     @property
     def clean(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {"violations": self.violations, "samples": self.face_samples}
 
 
 def box_audit(sys: NumericSystem, box: BoxDomain, samples: int = 600, seed: int = 0, zero_tol: float = 1e-9) -> BoxAudit:

@@ -1,9 +1,17 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from crncount.cli import main
+from crncount.conservation import conserved_mass_vector
+from crncount.dsl import parse_network
+from crncount.fixtures import NETWORK_FIXTURES, fixture_network
+from crncount.network import FlowAugmentation
+from crncount.numeric import boundary_audit, default_domain, numeric_system_from_network
 
 
 def _run(capsys, *argv):
@@ -106,7 +114,7 @@ def test_count_example_61_certified_by_dominance(capsys):
     assert len(report["equilibria"]) == 1
     assert report["degree_estimate"] == -1
     assert report["homotopy"]["matched_equilibrium"] == 0
-    assert report["boundary_audit"]["side_violations"] == []
+    assert report["boundary"]["certified"] is True
 
 
 def test_count_example_61_uncertified_above_bound(capsys):
@@ -204,3 +212,93 @@ def test_count_non_unit_outflow_uses_symbolic_census(capsys):
     assert code == 2
     assert report["census"]["conditions_hold_at_parameters"] is False
     assert [c["inequality"] for c in report["census"]["dominance_conditions"]] == ["1*k[C->2A] <= 1*k[C->0]"]
+
+
+@pytest.mark.parametrize("binding", ["typo=3", "C->2A=0", "C->2A=-0.5", "C->2A=nan", "C->2A=inf"])
+def test_count_rejects_bad_rate_bindings(capsys, binding):
+    code, out, err = _run(
+        capsys, "count", "--fixture", "example-6.1", "--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=0.5",
+        "--k", binding,
+    )
+    assert code == 1
+    assert out == ""
+    assert ("left unbound by the network: typo" if binding.startswith("typo") else "must be finite and > 0") in err
+
+
+def test_count_rejects_binding_of_rate_fixed_in_file(tmp_path, capsys):
+    # The file's k=3 is the rate counted, so the census must not be
+    # evaluated at the --k value instead.
+    f = tmp_path / "fixed.crn"
+    f.write_text("A+B -> P\nB+C -> Q\nC -> 2A ; k=3\n")
+    code, out, err = _run(capsys, "count", str(f), "--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=0.5")
+    assert code == 1
+    assert out == ""
+    assert "left unbound by the network: C->2A" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["NETWORK"], ["--fixture", "example-6.1"], ["--fixture", "mapk-thron"], ["--k", "A->B=1"], ["--mass", "1,1"]],
+    ids=["file", "fixture", "numeric-fixture", "k", "mass"],
+)
+def test_count_flow_only_rejects_network_arguments(tmp_path, capsys, extra):
+    f = tmp_path / "net.crn"
+    f.write_text("A -> B\n")
+    argv = [str(f) if a == "NETWORK" else a for a in extra]
+    code, out, err = _run(capsys, "count", "--flow-only", "--inflow", "1,2", *argv)
+    assert code == 1
+    assert out == ""
+    assert "--flow-only takes no" in err
+
+
+def _boundary_cases():
+    for index, name in enumerate(NETWORK_FIXTURES):
+        rng = np.random.default_rng(index)
+        k = {r.label: float(10 ** rng.uniform(-1, 1)) for r in fixture_network(name).reactions}
+        for outflow in (1.0, 0.5):
+            yield pytest.param(name, k, outflow, None, id=f"{name}-outflow-{outflow}")
+    yield pytest.param("A+B -> P\n", {"A+B->P": 1.0}, 1.0, "1,1,1", id="dissipating-mass")
+
+
+@pytest.mark.parametrize("network, k, outflow, mass", _boundary_cases())
+def test_structural_boundary_agrees_with_sampled_audit(tmp_path, capsys, network, k, outflow, mass):
+    # crn count states the boundary argument without sampling; a 2000-point
+    # audit of the same system and domain must find it true.
+    if mass is None:
+        net, source = fixture_network(network), ["--fixture", network]
+        m = conserved_mass_vector(net).as_floats()
+    else:
+        f = tmp_path / "net.crn"
+        f.write_text(network)
+        net, source = parse_network(network), [str(f), "--mass", mass]
+        m = [float(x) for x in mass.split(",")]
+    argv = ["count", *source, "--outflow", repr(outflow), "--starts", "20"]
+    for label, value in k.items():
+        argv += ["--k", f"{label}={value!r}"]
+    code, out, _ = _run(capsys, *argv)
+    assert code in (0, 2)
+    report = json.loads(out)
+    assert report["boundary"]["certified"] is True
+    assert report["boundary"]["violations"] == []
+    flows = FlowAugmentation.uniform(net.n, outflow=outflow)
+    domain = default_domain(m, flows)
+    assert report["domain"]["m"] == list(domain.m) and report["domain"]["M"] == domain.bound
+    audit = boundary_audit(numeric_system_from_network(net, k, flows), domain, samples=2000)
+    assert audit.clean, (audit.side_violations[:3], audit.outer_violations[:3])
+
+
+def test_readme_examples_exit_codes(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    checked, comment = 0, ""
+    for line in examples.splitlines():
+        if line.startswith("#"):
+            comment += line
+        elif line.startswith("crn "):
+            stated = re.search(r"exit code (\d)", comment)
+            if stated:
+                code, _, err = _run(capsys, *shlex.split(line)[1:])
+                assert code == int(stated.group(1)), (line, err)
+                checked += 1
+            comment = ""
+    assert checked
