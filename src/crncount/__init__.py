@@ -44,6 +44,7 @@ from .numeric import (
     box_audit,
     count_equilibria,
     default_domain,
+    flow_system,
     make_domain,
     newton_solve,
     numeric_system_from_network,

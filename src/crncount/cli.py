@@ -15,8 +15,6 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-import numpy as np
-
 from . import fixtures
 from .conservation import check_mass_vector, conservation_report, conserved_mass_vector
 from .dsl import ParseError, parse_network
@@ -31,11 +29,11 @@ from .jacobian import (
 )
 from .network import FlowAugmentation, MassAction, NetworkError, with_general_kinetics
 from .numeric import (
-    NumericSystem,
     PathTrackingError,
     box_audit,
     count_equilibria,
     default_domain,
+    flow_system,
     match_endpoint,
     numeric_system_from_network,
     track_homotopy,
@@ -85,14 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", help="count equilibria numerically in a bounded domain")
     add_common(count)
-    count.add_argument("--inflow", default="1", help="scalar or comma-separated inflow rates")
-    count.add_argument("--outflow", default="1", help="scalar or comma-separated outflow rates")
+    count.add_argument("--inflow", help="scalar or comma-separated inflow rates (default 1)")
+    count.add_argument("--outflow", help="scalar or comma-separated outflow rates (default 1)")
     count.add_argument("--k", action="append", default=[], metavar="NAME=VALUE", help="rate constant or fixture parameter binding")
     count.add_argument("--mass", help="dissipating mass vector override (comma-separated)")
     count.add_argument("--flow-only", action="store_true", help="no reactions beyond the flows themselves")
     count.add_argument("--starts", type=int, default=100)
     count.add_argument("--seed", type=int, default=0)
-    count.add_argument("--domain-mult", type=float, default=10.0)
+    count.add_argument("--domain-mult", type=float, help="M = R * m.c_in (default 10)")
     count.set_defaults(handler=_cmd_count)
     return parser
 
@@ -106,11 +104,15 @@ def _load_network(args):
     if args.fixture:
         if args.fixture in fixtures.NUMERIC_FIXTURES:
             raise NetworkError(f"fixture {args.fixture!r} is a numeric model, not a network")
-        return fixtures.fixture_network(args.fixture)
-    if not args.file:
+        net = fixtures.fixture_network(args.fixture)
+    elif not args.file:
         raise NetworkError("give a network file or --fixture NAME")
-    with open(args.file) as fh:
-        return parse_network(fh.read())
+    else:
+        with open(args.file) as fh:
+            net = parse_network(fh.read())
+    if net.flow_reactions():
+        raise NetworkError("network files must not contain flow reactions; flows are added by the analysis")
+    return net
 
 
 def _parse_vector(text: str, n: int, what: str):
@@ -128,8 +130,6 @@ def _parse_vector(text: str, n: int, what: str):
 
 def _cmd_census(args):
     net = _load_network(args)
-    if net.flow_reactions():
-        raise NetworkError("network files must not contain flow reactions; flows are added by the analysis")
     outflow_mode = {"1": "unit", "unit": "unit", "symbolic": "symbolic"}.get(args.outflow)
     if outflow_mode is None:
         raise ValueError("census supports --outflow 1/unit or symbolic")
@@ -137,14 +137,19 @@ def _cmd_census(args):
         J = build_general_jacobian(with_general_kinetics(net), outflow=outflow_mode)
     else:
         J = augmented_mass_action_jacobian(net, outflow=outflow_mode)
-    det = determinant_expand(J, max_dim=_max_dim())
-    census = sign_census(det, net.n)
-    conditions = dominance_conditions(det, census)
-    report = census_report(net, census, conditions)
+    census, _, report = _census(net, J)
     report["kinetics"] = args.kinetics
     report["outflow"] = outflow_mode
     code = EXIT_OK if census.certified_one_signed else EXIT_UNCERTIFIED
     return report, code
+
+
+def _census(net, J):
+    """Expand det J and census its signs: (census, dominance conditions, report)."""
+    det = determinant_expand(J, max_dim=_max_dim())
+    census = sign_census(det, net.n)
+    conditions = dominance_conditions(det, census)
+    return census, conditions, census_report(net, census, conditions)
 
 
 def _cmd_conserve(args):
@@ -181,31 +186,18 @@ def _cmd_count(args):
         raise ValueError("--flow-only takes no network file, --fixture, --k or --mass")
     if args.fixture in fixtures.NUMERIC_FIXTURES:
         return _count_numeric_fixture(args)
+    inflow = "1" if args.inflow is None else args.inflow
+    outflow = "1" if args.outflow is None else args.outflow
+    domain_mult = 10.0 if args.domain_mult is None else args.domain_mult
     if args.flow_only:
-        # Pure flows: f(c) = c_in - outflow*c, unique equilibrium c_in/outflow.
-        n = max(len([p for p in args.inflow.split(",") if p]), len([p for p in args.outflow.split(",") if p]))
-        flows = FlowAugmentation(_parse_vector(args.inflow, n, "inflow"), _parse_vector(args.outflow, n, "outflow"))
-        c_in = np.array(flows.inflow)
-        lam = np.array(flows.outflow)
-        sys_ = NumericSystem(
-            n,
-            f=lambda c: c_in - lam * c,
-            jac=lambda c: -np.diag(lam),
-            g=lambda c: np.zeros(n),
-            c_in=c_in,
-            outflow=lam,
-            provenance="flow-only",
-        )
+        n = max(len([p for p in inflow.split(",") if p]), len([p for p in outflow.split(",") if p]))
+        flows = FlowAugmentation(_parse_vector(inflow, n, "inflow"), _parse_vector(outflow, n, "outflow"))
+        sys_ = flow_system(flows)
         m_floats = [1.0] * n
         census_block, certified = None, True
     else:
         net = _load_network(args)
-        if net.flow_reactions():
-            raise NetworkError("network files must not contain flow reactions; flows are added by the analysis")
-        flows = FlowAugmentation(
-            _parse_vector(args.inflow, net.n, "inflow"),
-            _parse_vector(args.outflow, net.n, "outflow"),
-        )
+        flows = FlowAugmentation(_parse_vector(inflow, net.n, "inflow"), _parse_vector(outflow, net.n, "outflow"))
         bindings = _parse_bindings(args.k)
         # A rate fixed by k= in the file wins over --k, so binding it would be ignored.
         free = {r.label for r in net.reactions if isinstance(r.kinetics, MassAction) and r.kinetics.value is None}
@@ -226,15 +218,12 @@ def _cmd_count(args):
             m_floats = list(mv.as_floats())
         census_block, certified = _count_census(net, bindings, flows)
 
-    domain = default_domain(m_floats, flows, args.domain_mult)
+    domain = default_domain(m_floats, flows, domain_mult)
     report_eq = count_equilibria(sys_, domain, starts=args.starts, seed=args.seed, expect_unique=certified)
     homotopy: dict
     try:
         path = track_homotopy(sys_, domain)
-        homotopy = path.to_dict()
-        report_eq.homotopy_endpoint = path.endpoint
-        report_eq.homotopy_match_index = match_endpoint(report_eq, path.endpoint)
-        homotopy["matched_equilibrium"] = report_eq.homotopy_match_index
+        homotopy = {**path.to_dict(), "matched_equilibrium": match_endpoint(report_eq, path.endpoint)}
     except PathTrackingError as exc:
         homotopy = {"stalled": True, "reason": str(exc), "last_lambda": exc.last_lambda}
 
@@ -259,12 +248,9 @@ def _count_census(net, bindings, flows):
     """
     outflow = UNIT_OUTFLOW if all(lam == 1.0 for lam in flows.outflow) else SYMBOLIC_OUTFLOW
     try:
-        det = determinant_expand(augmented_mass_action_jacobian(net, outflow=outflow), max_dim=_max_dim())
+        census, conditions, census_block = _census(net, augmented_mass_action_jacobian(net, outflow=outflow))
     except (DeterminantSizeError, NetworkError):
         return None, False
-    census = sign_census(det, net.n)
-    conditions = dominance_conditions(det, census)
-    census_block = census_report(net, census, conditions)
     certified = census.certified_one_signed
     if not certified and conditions and census.unknown_sign_terms == 0:
         # A one-signed determinant also follows when every dominance
@@ -281,6 +267,8 @@ _CUBE_KEYS = ("a1", "a2", "a3", "b1", "b2", "b3", "d1", "d2", "d3", "e1", "e2", 
 
 
 def _count_numeric_fixture(args):
+    if any(value is not None for value in (args.file, args.inflow, args.outflow, args.mass, args.domain_mult)):
+        raise ValueError(f"--fixture {args.fixture} takes no network file, --inflow, --outflow, --mass or --domain-mult")
     bindings = _parse_bindings(args.k)
     if args.fixture == "mapk-thron":
         unknown = set(bindings) - set(_THRON_KEYS) - {"c0"}

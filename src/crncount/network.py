@@ -9,6 +9,7 @@ are ordinary mass-action reactions recognised by their shape.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -228,8 +229,9 @@ class FlowAugmentation:
     def __post_init__(self):
         if len(self.inflow) != len(self.outflow):
             raise NetworkError("inflow and outflow vectors must have equal length")
-        if any(not v > 0 for v in self.inflow) or any(not v > 0 for v in self.outflow):
-            raise NetworkError("flow rates must be strictly positive")
+        for what, rates in (("inflow", self.inflow), ("outflow", self.outflow)):
+            if not all(math.isfinite(v) and v > 0 for v in rates):
+                raise NetworkError(f"{what} rates must be finite and > 0, got {', '.join(map(str, rates))}")
 
     @staticmethod
     def uniform(n: int, inflow: float = 1.0, outflow: float = 1.0) -> "FlowAugmentation":

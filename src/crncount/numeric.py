@@ -74,18 +74,40 @@ class NumericSystem:
             raise ValueError(f"system {self.provenance!r} lacks inflow/outflow structure")
 
 
+def flow_system(flows: FlowAugmentation, g=None, jac_g=None, provenance: str = "flow-only") -> NumericSystem:
+    """The flow-augmented system f(c) = c_in - outflow*c + g(c).
+
+    ``g`` and its Jacobian ``jac_g`` are the reaction terms; omitted, both
+    are 0 and f is the pure-flow system with equilibrium c_in/outflow.
+    """
+    c_in = np.array(flows.inflow)
+    outflow = np.array(flows.outflow)
+    n = len(c_in)
+    if g is None:
+        g = lambda c: np.zeros(n)
+        jac_g = lambda c: np.zeros((n, n))
+
+    def f(c: np.ndarray) -> np.ndarray:
+        return c_in - outflow * c + g(c)
+
+    def jac(c: np.ndarray) -> np.ndarray:
+        return jac_g(c) - np.diag(outflow)
+
+    return NumericSystem(n, f, jac, g=g, c_in=c_in, outflow=outflow, provenance=provenance)
+
+
 def numeric_system_from_network(
     net: ReactionNetwork,
-    rate_constants: Optional[Dict[str, float]] = None,
-    flows: Optional[FlowAugmentation] = None,
+    rate_constants: Optional[Dict[str, float]],
+    flows: FlowAugmentation,
 ) -> NumericSystem:
-    """Bind a flow-free network to numbers and wrap it as a NumericSystem.
+    """Bind a flow-free network to numbers and augment it with ``flows``.
 
     Every mass-action reaction needs a numeric rate constant, either on
     the reaction itself or in ``rate_constants`` keyed by reaction label.
     General monotone reactions must carry a numeric evaluator returning
-    ``(rate, partials)``.  With ``flows`` given, the system is the
-    augmented f(c) = c_in - outflow*c + g(c); otherwise f = g.
+    ``(rate, partials)``.  The system is ``flow_system(flows, g, jac_g)``
+    with g the network's reaction terms.
 
     Raises:
         NetworkError: on flow reactions in the network, a missing rate
@@ -144,20 +166,9 @@ def numeric_system_from_network(
             J += np.outer(vec, np.asarray(partials))
         return J
 
-    if flows is None:
-        return NumericSystem(n, g, jac_g, provenance=f"network:{net.network_hash()}")
     if len(flows.inflow) != n:
         raise NetworkError(f"flow vectors have length {len(flows.inflow)}, expected {n}")
-    c_in = np.array(flows.inflow)
-    lam_o = np.array(flows.outflow)
-
-    def f(c: np.ndarray) -> np.ndarray:
-        return c_in - lam_o * c + g(c)
-
-    def jac(c: np.ndarray) -> np.ndarray:
-        return jac_g(c) - np.diag(lam_o)
-
-    return NumericSystem(n, f, jac, g=g, c_in=c_in, outflow=lam_o, provenance=f"network:{net.network_hash()}")
+    return flow_system(flows, g, jac_g, provenance=f"network:{net.network_hash()}")
 
 
 def finite_difference_jacobian(f: Callable, c: np.ndarray, scale: float = 1e-6) -> np.ndarray:
@@ -333,7 +344,10 @@ class NewtonResult:
     iterations: int
 
 
-def newton_solve(sys: NumericSystem, x0: Sequence[float], tol: float = 1e-10, max_iter: int = 100) -> NewtonResult:
+NEWTON_MAX_ITER = 100
+
+
+def newton_solve(sys: NumericSystem, x0: Sequence[float], tol: float = 1e-10) -> NewtonResult:
     """Damped Newton iteration confined to the open positive orthant.
 
     Steps are shortened to keep every coordinate strictly positive, then
@@ -345,7 +359,7 @@ def newton_solve(sys: NumericSystem, x0: Sequence[float], tol: float = 1e-10, ma
         raise ValueError("start point must be strictly positive")
     fx = sys.f(x)
     r = float(np.linalg.norm(fx))
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         if r <= tol:
             return NewtonResult(x, r, True, "converged", it - 1)
         try:
@@ -354,11 +368,7 @@ def newton_solve(sys: NumericSystem, x0: Sequence[float], tol: float = 1e-10, ma
             return NewtonResult(None, r, False, "singular-jacobian", it - 1)
         if not np.all(np.isfinite(step)):
             return NewtonResult(None, r, False, "singular-jacobian", it - 1)
-        # Longest step that keeps the iterate strictly inside the orthant.
-        alpha = 1.0
-        negative = step < 0
-        if np.any(negative):
-            alpha = min(1.0, 0.95 * float(np.min(x[negative] / -step[negative])))
+        alpha = _orthant_step(x, step)
         accepted = False
         while alpha > 1e-13:
             x_new = x + alpha * step
@@ -374,8 +384,17 @@ def newton_solve(sys: NumericSystem, x0: Sequence[float], tol: float = 1e-10, ma
         if np.any(np.abs(x) > 1e14):
             return NewtonResult(None, r, False, "diverged", it)
     if r <= tol:
-        return NewtonResult(x, r, True, "converged", max_iter)
-    return NewtonResult(None, r, False, "max-iterations", max_iter)
+        return NewtonResult(x, r, True, "converged", NEWTON_MAX_ITER)
+    return NewtonResult(None, r, False, "max-iterations", NEWTON_MAX_ITER)
+
+
+def _orthant_step(x: np.ndarray, step: np.ndarray) -> float:
+    """Step fraction alpha <= 1 that keeps x + alpha*step strictly positive:
+    0.95 of the way to the nearest coordinate plane the step would cross."""
+    negative = step < 0
+    if not np.any(negative):
+        return 1.0
+    return min(1.0, 0.95 * float(np.min(x[negative] / -step[negative])))
 
 
 @dataclass
@@ -396,8 +415,6 @@ class EquilibriumReport:
     tol: float
     dedup_radius: float
     converged_runs: int
-    homotopy_endpoint: Optional[Tuple[float, ...]] = None
-    homotopy_match_index: Optional[int] = None
 
     @property
     def count(self) -> int:
@@ -494,14 +511,13 @@ class HomotopyPath:
         }
 
 
-def track_homotopy(
-    sys: NumericSystem,
-    domain,
-    corrector_tol: float = 1e-10,
-    initial_step: float = 0.1,
-    min_step: float = 1e-10,
-    max_steps: int = 10000,
-) -> HomotopyPath:
+HOMOTOPY_INITIAL_STEP = 0.1
+HOMOTOPY_MIN_STEP = 1e-10
+HOMOTOPY_MAX_STEPS = 10000
+CORRECTOR_TOL = 1e-10
+
+
+def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
     """Track the zero of f_lambda = c_in - outflow*c + lambda*g from its
     explicit solution at lambda=0 up to an equilibrium at lambda=1.
 
@@ -515,10 +531,10 @@ def track_homotopy(
     sys._require_flows()
     c = np.array(sys.c_in) / np.array(sys.outflow)
     lam = 0.0
-    h = initial_step
+    h = HOMOTOPY_INITIAL_STEP
     samples = [(0.0, tuple(c), 0.0)]
     easy = 0
-    for _ in range(max_steps):
+    for _ in range(HOMOTOPY_MAX_STEPS):
         if lam >= 1.0:
             break
         h = min(h, 1.0 - lam)
@@ -529,7 +545,7 @@ def track_homotopy(
             c_pred = np.maximum(c + h * tangent, 1e-300)
         except np.linalg.LinAlgError:
             pass
-        ok, c_new, iters = _correct(sys, c_pred, target, corrector_tol)
+        ok, c_new, iters = _correct(sys, c_pred, target)
         if ok:
             if not domain.contains(c_new, closed=True, tol=1e-9):
                 raise PathTrackingError("path left the domain closure", lam)
@@ -543,7 +559,7 @@ def track_homotopy(
         else:
             easy = 0
             h *= 0.5
-            if h < min_step:
+            if h < HOMOTOPY_MIN_STEP:
                 raise PathTrackingError("path tracking stalled", lam)
     else:
         raise PathTrackingError("step budget exhausted", lam)
@@ -551,28 +567,24 @@ def track_homotopy(
     return HomotopyPath(samples, tuple(c), residual, len(samples) - 1)
 
 
-def _correct(sys: NumericSystem, x0: np.ndarray, lam: float, tol: float, max_iter: int = 8):
+def _correct(sys: NumericSystem, x0: np.ndarray, lam: float, max_iter: int = 8):
     x = np.array(x0)
     if np.any(x <= 0):
         return False, x, 0
     for it in range(1, max_iter + 1):
         fx = sys.f_lambda(x, lam)
         r = float(np.linalg.norm(fx))
-        if r <= tol:
+        if r <= CORRECTOR_TOL:
             return True, x, it - 1
         try:
             step = np.linalg.solve(sys.jac_lambda(x, lam), -fx)
         except np.linalg.LinAlgError:
             return False, x, it
-        alpha = 1.0
-        negative = step < 0
-        if np.any(negative):
-            alpha = min(1.0, 0.95 * float(np.min(x[negative] / -step[negative])))
-        x = x + alpha * step
+        x = x + _orthant_step(x, step) * step
         if not np.all(np.isfinite(x)):
             return False, x, it
     fx = sys.f_lambda(x, lam)
-    return float(np.linalg.norm(fx)) <= tol, x, max_iter
+    return float(np.linalg.norm(fx)) <= CORRECTOR_TOL, x, max_iter
 
 
 def match_endpoint(report: EquilibriumReport, endpoint: Sequence[float], radius: float = 1e-6) -> Optional[int]:
@@ -591,29 +603,30 @@ def match_endpoint(report: EquilibriumReport, endpoint: Sequence[float], radius:
 
 @dataclass
 class BoundaryAudit:
-    """Sampled check that f_lambda has no zeros on the domain boundary.
+    """Sampled check that a system has no zeros on a domain boundary.
 
-    Sides: at points with c_j = 0 the j-th component must be strictly
-    positive.  Outer: where m.(outflow*c) = M the derivative of the mass
-    functional, m.f_lambda, must be strictly negative.  Sampling is a
-    cross-check and diagnostic, not a proof.
+    Each boundary face has a margin that is positive wherever the face is
+    free of zeros; every sampled point where it is not is a violation
+    ``{face, lambda, c, margin}``.  Sampling is a cross-check and
+    diagnostic, not a proof.
     """
 
-    side_violations: List[dict]
-    outer_violations: List[dict]
-    side_samples: int
-    outer_samples: int
+    violations: List[dict]
+    samples: int
 
     @property
     def clean(self) -> bool:
-        return not self.side_violations and not self.outer_violations
+        return not self.violations
 
 
 LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+BOX_ZERO_TOL = 1e-9
 
 
 def boundary_audit(sys: NumericSystem, domain: MassDomain, samples: int = 1000, seed: int = 0) -> BoundaryAudit:
-    """Audit the sides and the outer boundary of a mass-bounded domain.
+    """Audit f_lambda at each lambda of LAMBDA_GRID on a mass-bounded domain:
+    side ``c[j]=0`` has margin f_lambda_j, and the ``outer`` face
+    m.(outflow*c) = M has margin -m.f_lambda.
 
     The check for custom systems.  For a flow-augmented mass-action
     network with a conserved or dissipating m, ``crn count`` certifies
@@ -623,53 +636,40 @@ def boundary_audit(sys: NumericSystem, domain: MassDomain, samples: int = 1000, 
     sys._require_flows()
     n = sys.n
     per_side = max(1, samples // (2 * n))
-    side_violations = []
-    for j in range(n):
-        pts = domain.sample_side(j, per_side, seed + j + 1)
-        for c in pts:
-            for lam in LAMBDA_GRID:
-                value = float(sys.f_lambda(c, lam)[j])
-                if not value > 0:
-                    side_violations.append({"species": j, "lambda": lam, "c": list(c), "f_j": value})
-    outer_count = max(1, samples // 2)
-    pts = domain.sample_outer(outer_count, seed)
-    outer_violations = []
-    for c in pts:
-        for lam in LAMBDA_GRID:
-            value = float(domain.m @ sys.f_lambda(c, lam))
-            if not value < 0:
-                outer_violations.append({"lambda": lam, "c": list(c), "m_dot_f": value})
-    return BoundaryAudit(side_violations, outer_violations, per_side * n, outer_count)
+    faces = [(f"c[{j}]=0", domain.sample_side(j, per_side, seed + j + 1), lambda fc, j=j: fc[j]) for j in range(n)]
+    faces.append(("outer", domain.sample_outer(max(1, samples // 2), seed), lambda fc: -(domain.m @ fc)))
+    return _audit(faces, sys.f_lambda, LAMBDA_GRID)
 
 
-@dataclass
-class BoxAudit:
-    """Sampled check that f has no zeros on the faces of a box domain."""
+def box_audit(sys: NumericSystem, box: BoxDomain, samples: int = 600, seed: int = 0) -> BoundaryAudit:
+    """Audit f itself (recorded as lambda = 1) on the faces of a box.
 
-    violations: List[dict]
-    face_samples: int
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-
-def box_audit(sys: NumericSystem, box: BoxDomain, samples: int = 600, seed: int = 0, zero_tol: float = 1e-9) -> BoxAudit:
-    """Audit the faces of a box: f_j > 0 on each lower face, and no
-    near-zero of f anywhere on a face."""
+    A lower face ``c[j]=lo`` has margin min(f_j, max|f| - BOX_ZERO_TOL),
+    so f_j must point inward and f must not vanish; an upper face
+    ``c[j]=hi`` has margin max|f| - BOX_ZERO_TOL.
+    """
     n = sys.n
     per_face = max(1, samples // (2 * n))
-    violations = []
+    faces = []
     for j in range(n):
-        for upper in (False, True):
-            pts = box.sample_face(j, upper, per_face, seed + 2 * j + upper + 1)
-            for c in pts:
-                fc = sys.f(c)
-                if not upper and not fc[j] > 0:
-                    violations.append({"face": f"c[{j}]=lo", "c": list(c), "f_j": float(fc[j])})
-                if float(np.max(np.abs(fc))) <= zero_tol:
-                    violations.append({"face": f"c[{j}]={'hi' if upper else 'lo'}", "c": list(c), "norm": float(np.max(np.abs(fc)))})
-    return BoxAudit(violations, per_face * 2 * n)
+        lower = box.sample_face(j, False, per_face, seed + 2 * j + 1)
+        upper = box.sample_face(j, True, per_face, seed + 2 * j + 2)
+        faces.append((f"c[{j}]=lo", lower, lambda fc, j=j: min(fc[j], np.max(np.abs(fc)) - BOX_ZERO_TOL)))
+        faces.append((f"c[{j}]=hi", upper, lambda fc: np.max(np.abs(fc)) - BOX_ZERO_TOL))
+    return _audit(faces, lambda c, lam: sys.f(c), (1.0,))
+
+
+def _audit(faces, evaluate: Callable, lambdas: Sequence[float]) -> BoundaryAudit:
+    """Evaluate every sampled point of every (name, points, margin) face at
+    each lambda; a margin that is not > 0 is a violation."""
+    violations = []
+    for face, points, margin in faces:
+        for c in points:
+            for lam in lambdas:
+                value = float(margin(evaluate(c, lam)))
+                if not value > 0:
+                    violations.append({"face": face, "lambda": lam, "c": list(c), "margin": value})
+    return BoundaryAudit(violations, sum(len(points) for _, points, _ in faces))
 
 
 def sample_determinant_signs(sys: NumericSystem, domain, samples: int = 2000, seed: int = 0) -> Dict[int, int]:

@@ -251,6 +251,39 @@ def test_count_flow_only_rejects_network_arguments(tmp_path, capsys, extra):
     assert "--flow-only takes no" in err
 
 
+@pytest.mark.parametrize("fixture", ["mapk-thron", "mapk-cube"])
+@pytest.mark.parametrize(
+    "extra",
+    [["NETWORK"], ["--inflow", "3"], ["--outflow", "5"], ["--mass", "1"], ["--domain-mult", "4"]],
+    ids=["file", "inflow", "outflow", "mass", "domain-mult"],
+)
+def test_count_numeric_fixture_rejects_network_arguments(tmp_path, capsys, fixture, extra):
+    # The cascades are fixed systems on a fixed box: flows, a mass vector
+    # and a domain multiplier would be ignored, so they are refused.
+    f = tmp_path / "net.crn"
+    f.write_text("A -> B\n")
+    argv = [str(f) if a == "NETWORK" else a for a in extra]
+    code, out, err = _run(capsys, "count", "--fixture", fixture, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"--fixture {fixture} takes no network file" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--fixture", "example-6.1", "--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=0.5", "--outflow", "inf"],
+        ["--flow-only", "--inflow", "inf"],
+    ],
+    ids=["network-outflow", "flow-only-inflow"],
+)
+def test_count_rejects_non_finite_flows(capsys, argv):
+    code, out, err = _run(capsys, "count", *argv)
+    assert code == 1
+    assert out == ""
+    assert f"{argv[-2][2:]} rates must be finite and > 0, got inf" in err
+
+
 def _boundary_cases():
     for index, name in enumerate(NETWORK_FIXTURES):
         rng = np.random.default_rng(index)
@@ -284,7 +317,7 @@ def test_structural_boundary_agrees_with_sampled_audit(tmp_path, capsys, network
     domain = default_domain(m, flows)
     assert report["domain"]["m"] == list(domain.m) and report["domain"]["M"] == domain.bound
     audit = boundary_audit(numeric_system_from_network(net, k, flows), domain, samples=2000)
-    assert audit.clean, (audit.side_violations[:3], audit.outer_violations[:3])
+    assert audit.clean, audit.violations[:3]
 
 
 def test_readme_examples_exit_codes(capsys):

@@ -8,6 +8,7 @@ from crncount.dsl import parse_network
 from crncount.fixtures import fixture_network, mapk_cube, thron_box, thron_cascade, unit_cube
 from crncount.network import FlowAugmentation, GeneralMonotone, NetworkError, ReactionNetwork
 from crncount.numeric import (
+    BOX_ZERO_TOL,
     BoxDomain,
     MassDomain,
     NumericSystem,
@@ -18,6 +19,7 @@ from crncount.numeric import (
     count_equilibria,
     default_domain,
     finite_difference_jacobian,
+    flow_system,
     make_domain,
     match_endpoint,
     newton_solve,
@@ -37,18 +39,8 @@ def _system_61(k3=0.5, k1=1.0, k2=1.0, inflow=1.0):
     return net, sys, default_domain(m, flows), m
 
 
-def _flow_only(n=3, inflow=(1.0, 2.0, 3.0), outflow=(1.0, 0.5, 2.0)):
-    c_in = np.array(inflow)
-    lam = np.array(outflow)
-    return NumericSystem(
-        n,
-        f=lambda c: c_in - lam * c,
-        jac=lambda c: -np.diag(lam),
-        g=lambda c: np.zeros(n),
-        c_in=c_in,
-        outflow=lam,
-        provenance="flow-only",
-    )
+def _flow_only(inflow=(1.0, 2.0, 3.0), outflow=(1.0, 0.5, 2.0)):
+    return flow_system(FlowAugmentation(inflow, outflow))
 
 
 # --- domains ---------------------------------------------------------------
@@ -232,7 +224,7 @@ def test_general_kinetics_evaluator_system():
     )
     net2 = ReactionNetwork(net.species, reactions)
     flows = FlowAugmentation.uniform(2)
-    sys = numeric_system_from_network(net2, flows=flows)
+    sys = numeric_system_from_network(net2, {}, flows)
     c = np.array([0.5, 0.25])
     assert np.allclose(sys.jac(c), finite_difference_jacobian(sys.f, c), rtol=1e-6)
     rep = count_equilibria(sys, make_domain([1.0, 1.0], flows, 10.0), starts=30, seed=1)
@@ -246,7 +238,7 @@ def test_general_kinetics_evaluator_system():
 def test_general_kinetics_requires_evaluator():
     net = parse_network("A -> B ; kinetics=general\n")
     with pytest.raises(NetworkError, match="numeric evaluator"):
-        numeric_system_from_network(net, flows=FlowAugmentation.uniform(2))
+        numeric_system_from_network(net, {}, FlowAugmentation.uniform(2))
 
 
 def test_missing_rate_constant_rejected():
@@ -353,7 +345,7 @@ def test_boundary_audit_example_61_large_sample():
     _, sys, dom, _ = _system_61(k3=1.7, k1=2.2, k2=0.3)
     audit = boundary_audit(sys, dom, samples=10000, seed=7)
     assert audit.clean
-    assert audit.side_samples + audit.outer_samples >= 10000 // 2
+    assert audit.samples >= 10000 // 2
 
 
 def test_boundary_audit_detects_planted_violation():
@@ -369,8 +361,29 @@ def test_boundary_audit_detects_planted_violation():
     )
     dom = make_domain([1.0, 1.0], FlowAugmentation.uniform(2), 21.0)
     audit = boundary_audit(sys, dom, samples=200, seed=0)
-    assert audit.side_violations
-    assert any(v["species"] == 0 for v in audit.side_violations)
+    assert audit.violations
+    assert any(v["face"] == "c[0]=0" for v in audit.violations)
+
+
+def test_box_audit_reports_planted_violations():
+    # f = (1 - c_1) * (c_0 - 1/2, 1) on the unit square: f_0 < 0 on the
+    # lower face c_0 = 0 and f = 0 on the whole upper face c_1 = 1; the
+    # faces c_1 = 0 and c_0 = 1 are clean.
+    sys = NumericSystem(
+        2,
+        f=lambda c: (1.0 - c[1]) * np.array([c[0] - 0.5, 1.0]),
+        jac=lambda c: np.array([[1.0 - c[1], 0.5 - c[0]], [0.0, -1.0]]),
+    )
+    audit = box_audit(sys, BoxDomain([0.0, 0.0], [1.0, 1.0]), samples=40, seed=0)
+    assert not audit.clean and audit.samples == 40
+    assert all(set(v) == {"face", "lambda", "c", "margin"} and v["lambda"] == 1.0 for v in audit.violations)
+    lower = [v for v in audit.violations if v["face"] == "c[0]=lo"]
+    upper = [v for v in audit.violations if v["face"] == "c[1]=hi"]
+    assert len(lower) == len(upper) == 10 and len(audit.violations) == 20
+    for v in lower:
+        assert v["c"][0] == 0.0 and v["margin"] == pytest.approx(-0.5 * (1.0 - v["c"][1])) and v["margin"] < 0
+    for v in upper:
+        assert v["c"][1] == 1.0 and v["margin"] == -BOX_ZERO_TOL
 
 
 def test_box_audit_thron_case_analysis():
