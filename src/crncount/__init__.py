@@ -27,7 +27,6 @@ from .network import (
     Reaction,
     ReactionNetwork,
     Species,
-    augment_with_flows,
     reaction_vectors,
     stoichiometric_rank,
     with_general_kinetics,

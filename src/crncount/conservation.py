@@ -44,17 +44,9 @@ class MassVector:
 def conserved_mass_vector(net: ReactionNetwork) -> Optional[MassVector]:
     """Find some m > 0 with m orthogonal to every reaction vector, or None.
 
-    The network must be flow-free (a conservative network can have no
-    inflows or outflows).  Positivity is sought as m >= 1 via an exact
-    simplex minimising sum(m); the result is scaled to integer entries
-    with gcd 1 when possible.
-
-    Raises:
-        NetworkError: if the network contains flow reactions.
+    Positivity is sought as m >= 1 via an exact simplex minimising sum(m);
+    the result is scaled to integer entries with gcd 1 when possible.
     """
-    flows = net.flow_reactions()
-    if flows:
-        raise NetworkError(f"network contains flow reactions: {', '.join(r.label for r in flows)}")
     vectors = [r.reaction_vector(net.n) for r in net.reactions]
     # m = 1 + x with x >= 0:  sum_j v_j x_j = -sum_j v_j  for each reaction.
     rows = [[Fraction(v) for v in vec] for vec in vectors]
@@ -68,7 +60,7 @@ def conserved_mass_vector(net: ReactionNetwork) -> Optional[MassVector]:
 
 
 def check_mass_vector(net: ReactionNetwork, m: Sequence) -> MassVerdict:
-    """Classify a candidate vector against the network's non-flow reactions.
+    """Classify a candidate vector against the network's reactions.
 
     Conserved: every dot product with a reaction vector is exactly 0 and
     all entries are positive.  Dissipating: all dot products <= 0 with at
@@ -83,12 +75,7 @@ def check_mass_vector(net: ReactionNetwork, m: Sequence) -> MassVerdict:
     mv = [Fraction(x) for x in m]
     if any(not x > 0 for x in mv):
         return MassVerdict.NEITHER
-    dots = []
-    for r in net.reactions:
-        if r.is_flow:
-            continue
-        vec = r.reaction_vector(net.n)
-        dots.append(sum(a * b for a, b in zip(mv, vec)))
+    dots = [sum(a * b for a, b in zip(mv, r.reaction_vector(net.n))) for r in net.reactions]
     if all(d == 0 for d in dots):
         return MassVerdict.CONSERVED
     if all(d <= 0 for d in dots):

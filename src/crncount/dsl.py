@@ -12,7 +12,9 @@ Grammar (one reaction per line, ``#`` starts a comment)::
 Species are indexed in order of first appearance.  A ``<->`` line expands
 into the two irreversible reactions.  ``signs=`` entries are ``+A``,
 ``-A``, or ``?A`` (strict sign exists but is unknown); when ``signs=`` is
-given it must cover every dependency.
+given it must cover every dependency.  A flow line, ``0 -> X`` or
+``X -> 0`` with one species of coefficient 1, is a ParseError (the CLI
+exits 1): flows are added by the analysis, never written in a network.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ def parse_network(text: str) -> ReactionNetwork:
     """Parse DSL source into a reaction network.
 
     Raises:
-        ParseError: on syntax errors, ``y -> y`` reactions, zero or
-            negative stoichiometric coefficients, unknown annotations, or
-            an input with no reactions.
+        ParseError: on syntax errors, ``y -> y`` reactions, flow
+            reactions, zero or negative stoichiometric coefficients,
+            unknown annotations, or an input with no reactions.
     """
     species_order: List[str] = []
     species_index: Dict[str, int] = {}

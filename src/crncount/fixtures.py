@@ -8,6 +8,7 @@ pipeline.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +48,14 @@ def fixture_network(name: str) -> ReactionNetwork:
     return parse_network(NETWORK_FIXTURES[name])
 
 
+def _check_parameters(names: Sequence[str], values: Sequence[float]) -> None:
+    """Reject a parameter that is not finite and > 0: the one-signed
+    determinant of the cascades holds only for strictly positive ones."""
+    for name, value in zip(names, values):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"parameter {name} must be finite and > 0, got {value}")
+
+
 def thron_cascade(p: Sequence[float], c0: float) -> NumericSystem:
     """Three-stage cascade with a saturating input and output stage:
 
@@ -61,8 +70,7 @@ def thron_cascade(p: Sequence[float], c0: float) -> NumericSystem:
     """
     p1, p2, p3, p4, p5, p6 = (float(x) for x in p)
     c0 = float(c0)
-    if min(p1, p2, p3, p4, p5, p6, c0) <= 0:
-        raise ValueError("all parameters must be strictly positive")
+    _check_parameters(("p1", "p2", "p3", "p4", "p5", "p6", "c0"), (p1, p2, p3, p4, p5, p6, c0))
 
     def f(c: np.ndarray) -> np.ndarray:
         return np.array(
@@ -117,8 +125,8 @@ def mapk_cube(
     e = np.array([float(x) for x in e])
     mu = float(mu)
     k = float(k)
-    if min(a.min(), b.min(), d.min(), e.min(), mu, k) <= 0:
-        raise ValueError("all parameters must be strictly positive")
+    names = [f"{stem}{i}" for stem in "abde" for i in (1, 2, 3)] + ["mu", "k"]
+    _check_parameters(names, [*a, *b, *d, *e, mu, k])
 
     def drive(j: int, c_j: float) -> float:
         return d[j] * (1.0 - c_j) / (e[j] + (1.0 - c_j))

@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .network import Complex, GeneralMonotone, MassAction, NetworkError, Reaction, ReactionNetwork, make_reaction
+from .network import GeneralMonotone, MassAction, NetworkError, ReactionNetwork
 from .polynomial import (
     CONCENTRATION,
     Monomial,
     Polynomial,
     concentration,
-    determinant_expand,
     differentiate,
     kinetic_partial,
     mono_degree,
@@ -39,44 +38,32 @@ SYMBOLIC_OUTFLOW = "symbolic"
 
 @dataclass(frozen=True)
 class SymbolicRate:
-    """Symbolic right-hand side of the concentration ODE system.
-
-    ``bindings`` records numeric values for rate constants that were kept
-    symbolic; they are applied only at numeric evaluation time so that
-    polynomial coefficients stay integer.
-    """
+    """Symbolic right-hand side of the concentration ODE system."""
 
     network: ReactionNetwork
     entries: Tuple[Polynomial, ...]
-    bindings: Tuple[Tuple[object, float], ...] = ()
 
 
 def build_mass_action_rate(net: ReactionNetwork) -> SymbolicRate:
     """Species formation rate of a mass-action network, one polynomial per species.
 
-    Rate constants stay symbolic; numeric values are recorded as bindings.
-    The one exception is flow reactions with constant exactly 1 (the usual
-    unit-outflow normalisation), which fold into integer coefficients so
-    that determinant expansions match hand calculations.
+    Every rate constant stays the symbol k[label], numeric or not, so that
+    polynomial coefficients stay integer.
     """
     names = net.names
     entries = [Polynomial.zero() for _ in range(net.n)]
-    bindings = []
     for r in net.reactions:
         if not isinstance(r.kinetics, MassAction):
             raise NetworkError(f"reaction {r.label} does not have mass-action kinetics")
-        mono = ()
+        mono = ((rate_constant(r.label), 1),)
         for idx, e in r.source.coeffs:
             mono = mono_mul(mono, ((concentration(idx, names[idx]), e),))
-        factor = _rate_factor(r)
-        rate = Polynomial.term(1, mono_mul(factor, mono))
-        if factor and r.kinetics.value is not None:
-            bindings.append((rate_constant(r.label), float(r.kinetics.value)))
+        rate = Polynomial.term(1, mono)
         vec = r.reaction_vector(net.n)
         for j, coeff in enumerate(vec):
             if coeff:
                 entries[j] = entries[j] + rate * coeff
-    return SymbolicRate(net, tuple(entries), tuple(bindings))
+    return SymbolicRate(net, tuple(entries))
 
 
 def symbolic_jacobian(rate: SymbolicRate) -> List[List[Polynomial]]:
@@ -100,8 +87,6 @@ def build_general_jacobian(net: ReactionNetwork, outflow: str = UNIT_OUTFLOW) ->
     n = net.n
     J = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
     for r in net.reactions:
-        if r.is_flow:
-            continue
         kin = r.kinetics
         if not isinstance(kin, GeneralMonotone):
             raise NetworkError(f"reaction {r.label} does not have general monotone kinetics")
@@ -122,40 +107,20 @@ def augmented_mass_action_jacobian(net: ReactionNetwork, outflow: str = UNIT_OUT
 
     Inflows are constants and never reach the Jacobian; outflows subtract
     the diagonal (1 per species by default, symbols with "symbolic").
-    The network itself must be flow-free.
     """
-    if any(r.is_flow for r in net.reactions):
-        raise NetworkError("network already contains flow reactions; pass the core network")
     J = symbolic_jacobian(build_mass_action_rate(net))
     _subtract_outflows(J, net, outflow)
     return J
 
 
 def _subtract_outflows(J: List[List[Polynomial]], net: ReactionNetwork, outflow: str) -> None:
-    """Subtract each species' outflow constant from the Jacobian diagonal.
-
-    A species X with an outflow reaction X -> 0 in the network uses that
-    reaction's constant; every other species gets one, 1 with
-    ``outflow="unit"`` and symbolic with ``outflow="symbolic"``.
-    ``_rate_factor`` turns each constant into its diagonal entry.
-    """
+    """Subtract each species' outflow constant from the Jacobian diagonal:
+    1 with ``outflow="unit"``, the symbol k[X->0] with ``outflow="symbolic"``."""
     if outflow not in (UNIT_OUTFLOW, SYMBOLIC_OUTFLOW):
         raise ValueError(f"unknown outflow mode {outflow!r}")
-    kinetics = MassAction(1.0 if outflow == UNIT_OUTFLOW else None)
-    drains = {r.source.coeffs[0][0]: r for r in net.reactions if r.is_outflow}
-    for sp in net.species:
-        j = sp.index
-        r = drains.get(j) or make_reaction(Complex(((j, 1),)), Complex(()), kinetics, net.names)
-        J[j][j] = J[j][j] - Polynomial.term(1, _rate_factor(r))
-
-
-def _rate_factor(r: Reaction) -> Monomial:
-    """Rate-constant factor of a reaction's rate: the symbol k[label], except
-    a mass-action flow constant of exactly 1 (the usual unit-outflow
-    normalisation), which folds into the integer coefficient."""
-    if r.is_flow and isinstance(r.kinetics, MassAction) and r.kinetics.value == 1.0:
-        return ()
-    return ((rate_constant(r.label), 1),)
+    for j, name in enumerate(net.names):
+        factor = () if outflow == UNIT_OUTFLOW else ((rate_constant(f"{name}->0"), 1),)
+        J[j][j] = J[j][j] - Polynomial.term(1, factor)
 
 
 @dataclass(frozen=True)
@@ -238,7 +203,6 @@ class DominanceCondition:
     """
 
     anomalous: AnomalousTerm
-    matched: List[Tuple[Monomial, int]]
     covered: bool
     inequality: Optional[str] = None
     quotient: Optional[Monomial] = None
@@ -256,13 +220,7 @@ class DominanceCondition:
         Usable for mass-action censuses, where the cancelled quotients
         contain only rate constants.  Uncovered terms never hold.
         """
-        if not self.covered:
-            return False
-        if self.quotient is not None:
-            return _mono_value(self.quotient, values) <= float(self.bound)
-        lhs = sum(c * _mono_value(m, values) for c, m in self.lhs_terms)
-        rhs = sum(c * _mono_value(m, values) for c, m in self.rhs_terms)
-        return lhs <= rhs
+        return self.holds_on({x: (v, v) for x, v in values.items()})
 
     def holds_on(self, intervals) -> bool:
         """Check the inequality over boxes of indeterminate values.
@@ -288,7 +246,7 @@ class DominanceCondition:
         return self.inequality if self.covered else f"uncovered: {self.anomalous.render()}"
 
 
-def dominance_conditions(det: Polynomial, census: Optional[SignSummary] = None, n: Optional[int] = None) -> List[DominanceCondition]:
+def dominance_conditions(det: Polynomial, census: SignSummary) -> List[DominanceCondition]:
     """Derive one dominance condition per anomalous term of the expansion.
 
     Terms sharing one concentration monomial form a group; the emitted
@@ -301,10 +259,6 @@ def dominance_conditions(det: Polynomial, census: Optional[SignSummary] = None, 
     monomial factor.  Groups are disjoint by construction, so the primary
     inequalities together certify one-signedness of the determinant.
     """
-    if census is None:
-        if n is None:
-            raise ValueError("pass a SignSummary or the species count n")
-        census = sign_census(det, n)
     reference = census.reference_sign
     partners_by_conc: Dict[Monomial, List[Tuple[Monomial, int]]] = {}
     for m, c in det.terms.items():
@@ -320,7 +274,7 @@ def dominance_conditions(det: Polynomial, census: Optional[SignSummary] = None, 
         partners = partners_by_conc.get(term.concentration_part, [])
         co_anomalous = anomalous_by_conc[term.concentration_part]
         if not partners:
-            conditions.append(DominanceCondition(term, [], False))
+            conditions.append(DominanceCondition(term, False))
             continue
         single = sorted(
             (
@@ -331,13 +285,13 @@ def dominance_conditions(det: Polynomial, census: Optional[SignSummary] = None, 
             key=lambda qmc: (mono_degree(qmc[0]), qmc[0]),
         )
         if len(co_anomalous) == 1 and single:
-            quotient, m2, c2 = single[0]
+            quotient, _, c2 = single[0]
             bound = Fraction(abs(c2), abs(term.coefficient))
             alternatives = [
                 _quotient_inequality(q, Fraction(abs(c), abs(term.coefficient))) for q, _, c in single[1:]
             ]
             conditions.append(
-                DominanceCondition(term, [(m2, c2)], True, _quotient_inequality(quotient, bound), quotient, bound, alternatives)
+                DominanceCondition(term, True, _quotient_inequality(quotient, bound), quotient, bound, alternatives)
             )
         else:
             # Whole-group comparison; with several anomalous terms in the
@@ -351,9 +305,7 @@ def dominance_conditions(det: Polynomial, census: Optional[SignSummary] = None, 
             lhs = " + ".join(f"{c}*{mono_format(m)}" for c, m in lhs_terms)
             rhs = " + ".join(f"{c}*{mono_format(m)}" for c, m in rhs_terms)
             conditions.append(
-                DominanceCondition(
-                    term, sorted(partners), True, f"{lhs} <= {rhs}", lhs_terms=lhs_terms, rhs_terms=rhs_terms
-                )
+                DominanceCondition(term, True, f"{lhs} <= {rhs}", lhs_terms=lhs_terms, rhs_terms=rhs_terms)
             )
     return conditions
 

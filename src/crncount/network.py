@@ -2,8 +2,9 @@
 
 A network is an ordered species list plus an ordered reaction list.  All
 types are immutable after construction, so they can be shared freely
-between threads.  Inflow (``0 -> A``) and outflow (``A -> 0``) reactions
-are ordinary mass-action reactions recognised by their shape.
+between threads.  A network never contains a flow reaction (``0 -> A`` or
+``A -> 0``): the analysis adds an inflow and an outflow for every species
+(``FlowAugmentation``), so ``Reaction`` rejects that shape.
 """
 
 from __future__ import annotations
@@ -137,18 +138,9 @@ class Reaction:
     def __post_init__(self):
         if self.source == self.target:
             raise NetworkError(f"reaction of form y -> y is not allowed: {self.label}")
-
-    @property
-    def is_inflow(self) -> bool:
-        return self.source.is_empty and len(self.target.coeffs) == 1 and self.target.coeffs[0][1] == 1
-
-    @property
-    def is_outflow(self) -> bool:
-        return self.target.is_empty and len(self.source.coeffs) == 1 and self.source.coeffs[0][1] == 1
-
-    @property
-    def is_flow(self) -> bool:
-        return self.is_inflow or self.is_outflow
+        terms = self.source.coeffs + self.target.coeffs
+        if (self.source.is_empty or self.target.is_empty) and len(terms) == 1 and terms[0][1] == 1:
+            raise NetworkError(f"networks must not contain flow reactions ({self.label}); flows are added by the analysis")
 
     def reaction_vector(self, n: int) -> Tuple[int, ...]:
         v = [0] * n
@@ -205,13 +197,6 @@ class ReactionNetwork:
             if s.name == name:
                 return s.index
         raise KeyError(f"unknown species {name!r}")
-
-    def core_reactions(self) -> Tuple[Reaction, ...]:
-        """Reactions that are not inflows or outflows."""
-        return tuple(r for r in self.reactions if not r.is_flow)
-
-    def flow_reactions(self) -> Tuple[Reaction, ...]:
-        return tuple(r for r in self.reactions if r.is_flow)
 
     def network_hash(self) -> str:
         from .dsl import serialize_network
@@ -270,36 +255,8 @@ def _rational_rank(rows: Iterable[Sequence[int]]) -> int:
     return rank
 
 
-def augment_with_flows(net: ReactionNetwork, flows: Optional[FlowAugmentation] = None) -> ReactionNetwork:
-    """Append one inflow and one outflow reaction per species.
-
-    With ``flows`` given, the new reactions carry its numeric constants;
-    with ``flows=None`` the flow rate constants stay symbolic.  The
-    original reactions are kept unchanged, in order, ahead of the flows.
-
-    Raises:
-        NetworkError: if the network already contains a flow reaction, or
-            the flow vector length does not match the species count.
-    """
-    already = [r.label for r in net.reactions if r.is_flow]
-    if already:
-        raise NetworkError(f"network already contains flow reactions: {', '.join(already)}")
-    if flows is not None and len(flows.inflow) != net.n:
-        raise NetworkError(f"flow vectors have length {len(flows.inflow)}, expected {net.n}")
-    names = net.names
-    new_reactions = list(net.reactions)
-    for sp in net.species:
-        single = Complex(((sp.index, 1),))
-        zero = Complex(())
-        k_in = MassAction(flows.inflow[sp.index] if flows is not None else None)
-        k_out = MassAction(flows.outflow[sp.index] if flows is not None else None)
-        new_reactions.append(make_reaction(zero, single, k_in, names))
-        new_reactions.append(make_reaction(single, zero, k_out, names))
-    return ReactionNetwork(net.species, tuple(new_reactions))
-
-
 def with_general_kinetics(net: ReactionNetwork, signs: Optional[Dict[str, Dict[str, int]]] = None) -> ReactionNetwork:
-    """Replace every non-flow reaction's kinetics by a general monotone law.
+    """Replace every reaction's kinetics by a general monotone law.
 
     By default each reaction becomes consumptively increasing: it depends
     exactly on its source species, with strictly positive partials.
@@ -308,9 +265,6 @@ def with_general_kinetics(net: ReactionNetwork, signs: Optional[Dict[str, Dict[s
     """
     new_reactions = []
     for r in net.reactions:
-        if r.is_flow:
-            new_reactions.append(r)
-            continue
         sign_map = {idx: +1 for idx in r.source.support}
         if signs and r.label in signs:
             sign_map = {net.species_index(nm): s for nm, s in signs[r.label].items()}

@@ -16,7 +16,7 @@ report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,7 +101,7 @@ def numeric_system_from_network(
     rate_constants: Optional[Dict[str, float]],
     flows: FlowAugmentation,
 ) -> NumericSystem:
-    """Bind a flow-free network to numbers and augment it with ``flows``.
+    """Bind a network to numbers and augment it with ``flows``.
 
     Every mass-action reaction needs a numeric rate constant, either on
     the reaction itself or in ``rate_constants`` keyed by reaction label.
@@ -110,12 +110,9 @@ def numeric_system_from_network(
     with g the network's reaction terms.
 
     Raises:
-        NetworkError: on flow reactions in the network, a missing rate
-            constant or one that is not finite and > 0, or a general
-            reaction without an evaluator.
+        NetworkError: on a missing rate constant or one that is not finite
+            and > 0, or a general reaction without an evaluator.
     """
-    if any(r.is_flow for r in net.reactions):
-        raise NetworkError("pass the core network; flows are supplied separately")
     rate_constants = rate_constants or {}
     n = net.n
     mass_rows = []
@@ -312,16 +309,18 @@ def _primes(count: int) -> List[int]:
 
 
 def make_domain(m, flows: FlowAugmentation, bound: float) -> MassDomain:
-    """Bounded domain for the augmented system; requires bound > m . c_in.
+    """Bounded domain for the augmented system; requires a finite bound > m . c_in.
 
     Raises:
         ValueError: reporting the violated inequality when the bound is
-            not strictly larger than m . c_in.
+            not strictly larger than m . c_in, or when it is not finite.
     """
     entries = m.as_floats() if isinstance(m, MassVector) else [float(x) for x in m]
     min_bound = float(np.dot(entries, flows.inflow))
     if not bound > min_bound:
         raise ValueError(f"bound M = {bound} must satisfy M > m . c_in = {min_bound}")
+    if not math.isfinite(bound):
+        raise ValueError(f"bound M = {bound} must be finite")
     return MassDomain(entries, flows.outflow, bound)
 
 
@@ -404,6 +403,10 @@ class Equilibrium:
     det_sign: int
 
 
+COUNT_TOL = 1e-10
+DEDUP_RADIUS = 1e-7
+
+
 @dataclass
 class EquilibriumReport:
     """Deduplicated equilibria found in a domain, with a degree estimate."""
@@ -412,8 +415,6 @@ class EquilibriumReport:
     degree_estimate: int
     starts: int
     seed: int
-    tol: float
-    dedup_radius: float
     converged_runs: int
 
     @property
@@ -429,27 +430,20 @@ class EquilibriumReport:
             "degree_estimate": self.degree_estimate,
             "starts": self.starts,
             "seed": self.seed,
-            "tol": self.tol,
-            "dedup_radius": self.dedup_radius,
+            "tol": COUNT_TOL,
+            "dedup_radius": DEDUP_RADIUS,
             "converged_runs": self.converged_runs,
         }
 
 
-def count_equilibria(
-    sys: NumericSystem,
-    domain,
-    starts: int,
-    seed: int,
-    tol: float = 1e-10,
-    dedup_radius: float = 1e-7,
-    expect_unique: bool = False,
-) -> EquilibriumReport:
+def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int, expect_unique: bool = False) -> EquilibriumReport:
     """Multistart damped Newton census of equilibria inside a domain.
 
-    Start points are Halton points mapped into the domain; converged roots
-    outside the open domain are discarded; survivors are merged up to the
-    relative dedup radius and reported sorted lexicographically, with the
-    sign of det(jac) at each root and their sum as the degree estimate.
+    Start points are Halton points mapped into the domain; Newton runs to
+    the residual COUNT_TOL; converged roots outside the open domain are
+    discarded; survivors are merged up to the relative DEDUP_RADIUS and
+    reported sorted lexicographically, with the sign of det(jac) at each
+    root and their sum as the degree estimate.
 
     With ``expect_unique=True`` (census certified a one-signed
     determinant) a count other than one raises UniqueEquilibriumError.
@@ -460,7 +454,7 @@ def count_equilibria(
     roots = []
     converged = 0
     for x0 in x0s:
-        res = newton_solve(sys, x0, tol=tol)
+        res = newton_solve(sys, x0, tol=COUNT_TOL)
         if res.converged:
             converged += 1
             if domain.contains(res.point):
@@ -470,7 +464,7 @@ def count_equilibria(
     for point, residual in roots:
         p = np.array(point)
         for i, (q, r_old) in enumerate(reps):
-            if np.linalg.norm(p - q) <= dedup_radius * (1.0 + np.linalg.norm(q)):
+            if np.linalg.norm(p - q) <= DEDUP_RADIUS * (1.0 + np.linalg.norm(q)):
                 if residual < r_old:
                     reps[i] = (p, residual)
                 break
@@ -481,7 +475,7 @@ def count_equilibria(
         sign, _ = np.linalg.slogdet(sys.jac(p))
         equilibria.append(Equilibrium(tuple(p), residual, int(sign)))
     degree = sum(e.det_sign for e in equilibria)
-    report = EquilibriumReport(equilibria, degree, starts, seed, tol, dedup_radius, converged)
+    report = EquilibriumReport(equilibria, degree, starts, seed, converged)
     if expect_unique and report.count != 1:
         raise UniqueEquilibriumError(
             f"one-signed determinant guarantees a unique equilibrium, found {report.count}"
@@ -721,8 +715,6 @@ def search_multistationarity(
     from .jacobian import augmented_mass_action_jacobian, sign_census
     from .polynomial import determinant_expand, DeterminantSizeError
 
-    if not net.core_reactions():
-        return None  # pure-flow system: the equilibrium is unique outright
     try:
         det = determinant_expand(augmented_mass_action_jacobian(net, outflow="symbolic"))
         census = sign_census(det, net.n)

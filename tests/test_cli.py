@@ -284,6 +284,40 @@ def test_count_rejects_non_finite_flows(capsys, argv):
     assert f"{argv[-2][2:]} rates must be finite and > 0, got inf" in err
 
 
+_K_61 = ["--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=0.5"]
+
+
+@pytest.mark.parametrize(
+    "extra", [["--domain-mult", "inf"], ["--inflow", "1e307"]], ids=["domain-mult-inf", "inflow-overflows-M"]
+)
+def test_count_rejects_non_finite_domain_bound(capsys, extra):
+    code, out, err = _run(capsys, "count", "--fixture", "example-6.1", *_K_61, *extra)
+    assert code == 1
+    assert out == ""
+    assert "bound M = inf must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mapk-thron", "--k", "c0=inf"], "parameter c0 must be finite and > 0, got inf"),
+        (["mapk-thron", "--k", "p1=nan"], "parameter p1 must be finite and > 0, got nan"),
+        (["mapk-cube", "--k", "mu=inf"], "parameter mu must be finite and > 0, got inf"),
+        (["mapk-thron", "--k", "c0=1e12"], "unique equilibrium, found 0"),
+        (["mapk-cube", "--k", "mu=1e9"], "unique equilibrium, found 0"),
+    ],
+    ids=["thron-c0-inf", "thron-p1-nan", "cube-mu-inf", "thron-c0-1e12", "cube-mu-1e9"],
+)
+def test_count_cascade_certifies_only_one_root(capsys, argv, message):
+    # A clean box audit certifies a cascade, so the count must then find
+    # exactly one root, as on the network path; parameters that are not
+    # finite and > 0 are refused before the audit.
+    code, out, err = _run(capsys, "count", "--fixture", *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def _boundary_cases():
     for index, name in enumerate(NETWORK_FIXTURES):
         rng = np.random.default_rng(index)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from crncount.conservation import MassVector, MassVerdict, check_mass_vector, conservation_report, conserved_mass_vector
-from crncount.dsl import parse_network
-from crncount.network import NetworkError, augment_with_flows, reaction_vectors, stoichiometric_rank
+from crncount.dsl import ParseError, parse_network
+from crncount.network import NetworkError, reaction_vectors, stoichiometric_rank
 
 NET_61 = "A+B -> P\nB+C -> Q\nC -> 2A\n"
 NET_T2 = "A+B <-> P\nB+C <-> Q\nC+D <-> R\nD <-> 2A\n"
@@ -64,17 +64,9 @@ def test_candidate_length_mismatch():
 
 
 def test_flow_reactions_rejected():
-    aug = augment_with_flows(parse_network(NET_61))
-    with pytest.raises(NetworkError, match="flow reactions"):
-        conserved_mass_vector(aug)
-
-
-def test_check_skips_flow_reactions():
-    # check_mass_vector certifies the core; flow reactions never conserve.
-    net = parse_network(NET_61)
-    aug = augment_with_flows(net)
-    m = _by_name(net, {"A": 1, "B": 1, "C": 2, "P": 2, "Q": 3})
-    assert check_mass_vector(aug, m) is MassVerdict.CONSERVED
+    # A conservative network has no flows, and no network may contain any.
+    with pytest.raises(ParseError, match="line 4: networks must not contain flow reactions"):
+        parse_network(NET_61 + "A -> 0\n")
 
 
 def test_feasibility_invariant_under_permutations():

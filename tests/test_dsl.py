@@ -36,9 +36,11 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_zero_complex():
-    net = parse_network("A -> 0\n0 -> B\nA -> B\n")
-    assert net.reactions[0].is_outflow
-    assert net.reactions[1].is_inflow
+    net = parse_network("2A -> 0\n0 -> A+B\n")
+    assert net.reactions[0].target.is_empty
+    assert net.reactions[1].source.is_empty
+    with pytest.raises(ParseError, match="line 2: .*flow reactions"):
+        parse_network("A -> B\nA -> 0\n")
 
 
 def test_self_loop_reports_line_number():

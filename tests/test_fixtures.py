@@ -16,7 +16,6 @@ def test_every_network_fixture_parses():
     for name in NETWORK_FIXTURES:
         net = fixture_network(name)
         assert net.n >= 2
-        assert all(not r.is_flow for r in net.reactions)
 
 
 def test_fixture_listing():

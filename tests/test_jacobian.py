@@ -11,7 +11,7 @@ from crncount.jacobian import (
     sign_census,
     symbolic_jacobian,
 )
-from crncount.network import NetworkError, augment_with_flows, with_general_kinetics
+from crncount.network import NetworkError, with_general_kinetics
 from crncount.polynomial import (
     Polynomial,
     concentration,
@@ -57,33 +57,29 @@ def test_rate_requires_mass_action():
 
 
 def test_augmented_rate_entry_with_symbolic_flows():
-    net = augment_with_flows(parse_network(NET_61))
-    rate = build_mass_action_rate(net)
+    # Row A of the augmented Jacobian: outflow -k[A->0] on the diagonal,
+    # the network's terms elsewhere; the inflow constant drops out.
+    net = parse_network(NET_61)
+    J = augmented_mass_action_jacobian(net, outflow="symbolic")
     cA, cB = concentration(0, "A"), concentration(1, "B")
-    cC = concentration(3, "C")
-    expected = (
-        PV(rate_constant("0->A"))
-        - PV(rate_constant("A->0")) * PV(cA)
-        - PV(rate_constant("A+B->P")) * PV(cA) * PV(cB)
-        + 2 * PV(rate_constant("C->2A")) * PV(cC)
-    )
-    assert rate.entries[0] == expected
+    assert J[0][0] == -1 * PV(rate_constant("A->0")) - PV(rate_constant("A+B->P")) * PV(cB)
+    assert J[0][1] == -1 * PV(rate_constant("A+B->P")) * PV(cA)
+    assert J[0][2].is_zero and J[0][4].is_zero
 
 
 def test_differentiate_augmented_entry_wrt_c():
-    # d/dc_C of the first augmented rate entry leaves only 2 k[C->2A]
-    net = augment_with_flows(parse_network(NET_61))
+    # d/dc_C of the rate entry of A leaves only 2 k[C->2A], outflows or not
+    net = parse_network(NET_61)
     rate = build_mass_action_rate(net)
     d = differentiate(rate.entries[0], concentration(3, "C"))
     assert d == 2 * PV(rate_constant("C->2A"))
+    assert augmented_mass_action_jacobian(net, outflow="symbolic")[0][3] == d
 
 
-def test_numeric_rate_constants_become_bindings():
+def test_numeric_rate_constants_stay_symbolic():
     net = parse_network("A -> B ; k=2.5\n")
     rate = build_mass_action_rate(net)
-    assert dict(rate.bindings) == {rate_constant("A->B"): 2.5}
-    # kept symbolic in the polynomial itself
-    assert rate_constant("A->B") in rate.entries[0].indeterminates()
+    assert rate.entries[0] == -1 * PV(rate_constant("A->B")) * PV(concentration(0, "A"))
 
 
 def test_symbolic_jacobian_simple():
@@ -96,14 +92,16 @@ def test_symbolic_jacobian_simple():
 
 
 def test_unit_flow_augmentation_folds_into_integers():
-    from crncount.network import FlowAugmentation
-
+    # The augmented Jacobian is the network's own minus I (unit outflows,
+    # folded into integer coefficients) or minus diag(k[X->0]) (symbolic).
     net = parse_network(NET_61)
-    aug = augment_with_flows(net, FlowAugmentation.uniform(net.n))
-    det_via_ops = determinant_expand(symbolic_jacobian(build_mass_action_rate(aug)))
-    det_direct = determinant_expand(augmented_mass_action_jacobian(net))
-    assert det_via_ops == det_direct
-    assert len(det_direct) == 13
+    for mode in ("unit", "symbolic"):
+        J = symbolic_jacobian(build_mass_action_rate(net))
+        for j, name in enumerate(net.names):
+            outflow = Polynomial.constant(1) if mode == "unit" else PV(rate_constant(f"{name}->0"))
+            J[j][j] = J[j][j] - outflow
+        assert J == augmented_mass_action_jacobian(net, outflow=mode)
+    assert len(determinant_expand(augmented_mass_action_jacobian(net))) == 13
 
 
 def test_symbolic_outflows_shift_the_dominance_bound():
@@ -275,7 +273,7 @@ def test_dominance_uncovered():
     x = concentration(0, "A")
     k = rate_constant("r")
     det = PV(x) * PV(k) - Polynomial.constant(1)
-    conds = dominance_conditions(det, n=1)
+    conds = dominance_conditions(det, sign_census(det, 1))
     assert len(conds) == 1
     assert not conds[0].covered
     assert conds[0].inequality is None

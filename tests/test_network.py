@@ -9,12 +9,12 @@ from crncount.network import (
     Reaction,
     ReactionNetwork,
     Species,
-    augment_with_flows,
     make_reaction,
     reaction_vectors,
     stoichiometric_rank,
     with_general_kinetics,
 )
+from crncount.numeric import numeric_system_from_network
 
 NET_51 = "2A1 <-> A1+A2\nA1+A2 <-> 2A2\n2A2 <-> 2A1\n"
 NET_61 = "A+B -> P\nB+C -> Q\nC -> 2A\n"
@@ -30,12 +30,6 @@ def test_reaction_vector_c_to_2a():
     # species order (A, B, P, C, Q); C -> 2A contributes +2 to A.
     vec = net.reactions[2].reaction_vector(net.n)
     assert vec == (2, 0, 0, -1, 0)
-
-
-def test_reaction_vector_inflow_is_basis_vector():
-    net = augment_with_flows(parse_network("A -> B\n"))
-    inflow_a = next(r for r in net.reactions if r.is_inflow and r.target.support == (0,))
-    assert inflow_a.reaction_vector(net.n) == (1, 0)
 
 
 def test_reaction_vector_vanishes_outside_supports():
@@ -66,32 +60,20 @@ def test_rank_example_61_is_three():
     assert stoichiometric_rank(net) == 3
 
 
-def test_rank_of_augmented_network_is_full():
-    for text in (NET_51, NET_61):
-        net = parse_network(text)
-        assert stoichiometric_rank(augment_with_flows(net)) == net.n
-
-
-def test_augment_adds_one_flow_pair_per_species():
-    net = parse_network(NET_61)
-    aug = augment_with_flows(net, FlowAugmentation.uniform(net.n))
-    assert len(aug.reactions) == 3 + 2 * net.n == 13
-    assert aug.reactions[:3] == net.reactions
-    for sp in net.species:
-        inflows = [r for r in aug.reactions if r.is_inflow and r.target.support == (sp.index,)]
-        outflows = [r for r in aug.reactions if r.is_outflow and r.source.support == (sp.index,)]
-        assert len(inflows) == 1 and len(outflows) == 1
-
-
-def test_augment_twice_rejected():
-    aug = augment_with_flows(parse_network(NET_61))
-    with pytest.raises(NetworkError, match="already contains flow reactions"):
-        augment_with_flows(aug)
+def test_flow_reaction_rejected():
+    a, b = Complex.from_dict({0: 1}), Complex.from_dict({1: 1})
+    zero = Complex(())
+    for source, target in ((zero, a), (a, zero)):
+        with pytest.raises(NetworkError, match="flow reactions"):
+            make_reaction(source, target, MassAction(), ("A", "B"))
+    # Only the single-species, unit-coefficient shape is a flow.
+    for source, target in ((Complex.from_dict({0: 2}), zero), (zero, Complex.from_dict({0: 1, 1: 1}))):
+        make_reaction(source, target, MassAction(), ("A", "B"))
 
 
 def test_augment_flow_length_mismatch():
     with pytest.raises(NetworkError, match="length"):
-        augment_with_flows(parse_network(NET_61), FlowAugmentation.uniform(3))
+        numeric_system_from_network(parse_network("A -> B ; k=1\n"), {}, FlowAugmentation.uniform(3))
 
 
 def test_flow_augmentation_positive():

@@ -451,12 +451,6 @@ def test_search_skipped_for_one_signed_network():
     assert calls == []  # census certified, sampler never invoked
 
 
-def test_search_skipped_for_flow_only_network():
-    net = parse_network("0 -> A\nA -> 0\n")
-    flows = FlowAugmentation.uniform(1)
-    assert search_multistationarity(net, flows, lambda rng: {"k": {}}, budget=3, seed=0) is None
-
-
 def test_search_finds_validated_witness():
     net = fixture_network("example-6.1")
     flows = FlowAugmentation.uniform(net.n)
