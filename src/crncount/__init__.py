@@ -27,8 +27,6 @@ from .network import (
     Reaction,
     ReactionNetwork,
     Species,
-    reaction_vectors,
-    stoichiometric_rank,
     with_general_kinetics,
 )
 from .numeric import (

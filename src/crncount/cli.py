@@ -193,6 +193,9 @@ def _cmd_count(args):
         census_block, certified = None, True
     else:
         net = _load_network(args)
+        general = next((r.label for r in net.reactions if not isinstance(r.kinetics, MassAction)), None)
+        if general:
+            raise NetworkError(f"count needs mass-action kinetics; {general} is general (census-only: crn census --kinetics general)")
         flows = FlowAugmentation(_parse_vector(inflow, net.n, "inflow"), _parse_vector(outflow, net.n, "outflow"))
         bindings = _parse_bindings(args.k)
         # A rate fixed by k= in the file wins over --k, so binding it would be ignored.
@@ -240,12 +243,12 @@ def _count_census(net, bindings, flows):
     Outflows other than 1 need the symbolic-outflow census: the unit one
     folds terms whose outflow monomials differ, so its dominance
     conditions hold only for unit outflows.  Returns (None, False) when
-    the network is too large to census or not mass-action.
+    the network is too large to census.
     """
     outflow = UNIT_OUTFLOW if all(lam == 1.0 for lam in flows.outflow) else SYMBOLIC_OUTFLOW
     try:
         census, conditions, census_block = _census(net, augmented_mass_action_jacobian(net, outflow=outflow))
-    except (DeterminantSizeError, NetworkError):
+    except DeterminantSizeError:
         return None, False
     certified = census.certified_one_signed
     if not certified and conditions and census.unknown_sign_terms == 0:

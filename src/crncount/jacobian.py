@@ -211,9 +211,6 @@ class DominanceCondition:
     lhs_terms: List[Tuple[int, Monomial]] = field(default_factory=list)
     rhs_terms: List[Tuple[int, Monomial]] = field(default_factory=list)
 
-    def all_inequalities(self) -> List[str]:
-        return ([self.inequality] if self.inequality else []) + self.alternatives
-
     def holds_at(self, values) -> bool:
         """Evaluate the inequality at numeric indeterminate values.
 

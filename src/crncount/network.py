@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 MAX_STOICH_COEFF = 2**31 - 1
-
-CONSUMPTIVELY_INCREASING = "consumptively-increasing"
-STRICTLY_MONOTONE = "strictly-monotone"
 
 
 class NetworkError(ValueError):
@@ -99,14 +95,11 @@ class GeneralMonotone:
     """Monotone rate law known only through the signs of its partials.
 
     ``partial_signs`` maps each dependency (species index) to +1, -1, or 0
-    when the strict sign exists but is not known.  ``evaluator``, when
-    present, maps a concentration vector to ``(rate, partials)`` with
-    ``partials`` a length-n array; it must return rate 0 whenever some
-    source species has zero concentration.
+    when the strict sign exists but is not known.  Such a law enters the
+    sign census only; numeric systems are built from mass-action networks.
     """
 
     partial_signs: Tuple[Tuple[int, int], ...]
-    evaluator: Optional[Callable] = field(default=None, compare=False)
 
     @staticmethod
     def from_signs(signs: Dict[int, int]) -> "GeneralMonotone":
@@ -121,11 +114,6 @@ class GeneralMonotone:
             if idx == index:
                 return s
         raise KeyError(index)
-
-    def monotonicity_class(self, source: Complex) -> str:
-        if self.dependencies == source.support and all(s == +1 for _, s in self.partial_signs):
-            return CONSUMPTIVELY_INCREASING
-        return STRICTLY_MONOTONE
 
 
 @dataclass(frozen=True)
@@ -221,38 +209,6 @@ class FlowAugmentation:
     @staticmethod
     def uniform(n: int, inflow: float = 1.0, outflow: float = 1.0) -> "FlowAugmentation":
         return FlowAugmentation((float(inflow),) * n, (float(outflow),) * n)
-
-
-def reaction_vectors(net: ReactionNetwork) -> List[Tuple[int, ...]]:
-    """Net stoichiometric change (target - source) of every reaction."""
-    return [r.reaction_vector(net.n) for r in net.reactions]
-
-
-def stoichiometric_rank(net: ReactionNetwork) -> int:
-    """Exact rank over the rationals of the span of the reaction vectors."""
-    return _rational_rank(reaction_vectors(net))
-
-
-def _rational_rank(rows: Iterable[Sequence[int]]) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def with_general_kinetics(net: ReactionNetwork, signs: Optional[Dict[str, Dict[str, int]]] = None) -> ReactionNetwork:

@@ -1,6 +1,9 @@
 """Numeric equilibrium finding: multistart Newton, homotopy continuation,
 degree estimation, bounded domains, and sampled boundary audits.
 
+Network-derived systems are mass-action, hence polynomial; general
+monotone kinetics enter the sign census only.
+
 The audits check by sampling that f has no zeros on a domain boundary.
 They serve custom systems and the box cascades; for network-derived
 systems, where ``crn count`` states this from the network's structure,
@@ -16,13 +19,14 @@ report.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .conservation import MassVector, conserved_mass_vector
-from .network import FlowAugmentation, GeneralMonotone, MassAction, NetworkError, ReactionNetwork
+from .network import FlowAugmentation, MassAction, NetworkError, ReactionNetwork
 
 
 class PathTrackingError(RuntimeError):
@@ -58,10 +62,6 @@ class NumericSystem:
     outflow: Optional[np.ndarray] = None
     provenance: str = "custom"
 
-    @property
-    def has_flow_structure(self) -> bool:
-        return self.g is not None and self.c_in is not None and self.outflow is not None
-
     def f_lambda(self, c: np.ndarray, lam: float) -> np.ndarray:
         """Homotopy family c_in - outflow*c + lam * g(c)."""
         return self.c_in - self.outflow * c + lam * self.g(c)
@@ -70,7 +70,7 @@ class NumericSystem:
         return lam * (self.jac(c) + np.diag(self.outflow)) - np.diag(self.outflow)
 
     def _require_flows(self):
-        if not self.has_flow_structure:
+        if self.g is None or self.c_in is None or self.outflow is None:
             raise ValueError(f"system {self.provenance!r} lacks inflow/outflow structure")
 
 
@@ -101,85 +101,45 @@ def numeric_system_from_network(
     rate_constants: Optional[Dict[str, float]],
     flows: FlowAugmentation,
 ) -> NumericSystem:
-    """Bind a network to numbers and augment it with ``flows``.
+    """Bind a mass-action network to numbers and augment it with ``flows``.
 
-    Every mass-action reaction needs a numeric rate constant, either on
-    the reaction itself or in ``rate_constants`` keyed by reaction label.
-    General monotone reactions must carry a numeric evaluator returning
-    ``(rate, partials)``.  The system is ``flow_system(flows, g, jac_g)``
-    with g the network's reaction terms.
+    Every reaction needs a numeric rate constant, either on the reaction
+    itself or in ``rate_constants`` keyed by reaction label.  The system
+    is ``flow_system(flows, g, jac_g)`` with the polynomial reaction terms
+    g(c) = (k * prod(c**Y)) @ V, Y the source and V the reaction vectors.
 
     Raises:
-        NetworkError: on a missing rate constant or one that is not finite
-            and > 0, or a general reaction without an evaluator.
+        NetworkError: on a reaction without mass-action kinetics, or a
+            missing rate constant or one that is not finite and > 0.
     """
     rate_constants = rate_constants or {}
     n = net.n
-    mass_rows = []
-    general = []
+    ks, sources, vectors = [], [], []
     for r in net.reactions:
-        vec = np.array(r.reaction_vector(n), dtype=float)
-        if isinstance(r.kinetics, MassAction):
-            k = r.kinetics.value if r.kinetics.value is not None else rate_constants.get(r.label)
-            if k is None:
-                raise NetworkError(f"missing parameter binding for rate constant of {r.label}")
-            if not (math.isfinite(k) and k > 0):
-                raise NetworkError(f"rate constant of {r.label} must be finite and > 0, got {k}")
-            y = np.array(r.source.as_vector(n), dtype=float)
-            mass_rows.append((float(k), y, vec))
-        elif isinstance(r.kinetics, GeneralMonotone):
-            if r.kinetics.evaluator is None:
-                raise NetworkError(f"general kinetics reaction {r.label} has no numeric evaluator")
-            general.append((r.kinetics.evaluator, vec))
-        else:
-            raise NetworkError(f"unsupported kinetics on {r.label}")
-
-    if mass_rows:
-        kvec = np.array([row[0] for row in mass_rows])
-        Y = np.array([row[1] for row in mass_rows])
-        V = np.array([row[2] for row in mass_rows])
-    else:
-        kvec = np.zeros(0)
-        Y = np.zeros((0, n))
-        V = np.zeros((0, n))
+        if not isinstance(r.kinetics, MassAction):
+            raise NetworkError(f"reaction {r.label} does not have mass-action kinetics")
+        k = r.kinetics.value if r.kinetics.value is not None else rate_constants.get(r.label)
+        if k is None:
+            raise NetworkError(f"missing parameter binding for rate constant of {r.label}")
+        if not (math.isfinite(k) and k > 0):
+            raise NetworkError(f"rate constant of {r.label} must be finite and > 0, got {k}")
+        ks.append(float(k))
+        sources.append(r.source.as_vector(n))
+        vectors.append(r.reaction_vector(n))
+    kvec = np.array(ks)
+    Y = np.array(sources, dtype=float)
+    V = np.array(vectors, dtype=float)
 
     def g(c: np.ndarray) -> np.ndarray:
-        out = np.zeros(n)
-        if len(kvec):
-            rates = kvec * np.prod(np.power(c, Y), axis=1)
-            out += rates @ V
-        for evaluator, vec in general:
-            rate, _ = evaluator(c)
-            out += rate * vec
-        return out
+        return (kvec * np.prod(np.power(c, Y), axis=1)) @ V
 
     def jac_g(c: np.ndarray) -> np.ndarray:
-        J = np.zeros((n, n))
-        if len(kvec):
-            rates = kvec * np.prod(np.power(c, Y), axis=1)
-            J += V.T @ (rates[:, None] * Y / c[None, :])
-        for evaluator, vec in general:
-            _, partials = evaluator(c)
-            J += np.outer(vec, np.asarray(partials))
-        return J
+        rates = kvec * np.prod(np.power(c, Y), axis=1)
+        return V.T @ (rates[:, None] * Y / c[None, :])
 
     if len(flows.inflow) != n:
         raise NetworkError(f"flow vectors have length {len(flows.inflow)}, expected {n}")
-    return flow_system(flows, g, jac_g, provenance=f"network:{net.network_hash()}")
-
-
-def finite_difference_jacobian(f: Callable, c: np.ndarray, scale: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian with step scale*(1+|c_i|) per coordinate."""
-    n = len(c)
-    J = np.zeros((n, n))
-    for i in range(n):
-        h = scale * (1.0 + abs(c[i]))
-        up = c.copy()
-        dn = c.copy()
-        up[i] += h
-        dn[i] -= h
-        J[:, i] = (f(up) - f(dn)) / (2 * h)
-    return J
+    return flow_system(flows, g, jac_g, provenance="network")
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +203,6 @@ class BoxDomain:
         if closed:
             return bool(np.all(c >= self.lo - slack) and np.all(c <= self.hi + slack))
         return bool(np.all(c > self.lo) and np.all(c < self.hi))
-
-    def boundary_distance(self, c: np.ndarray) -> float:
-        c = np.asarray(c)
-        return float(min(np.min(c - self.lo), np.min(self.hi - c)))
 
     def sample_interior(self, count: int, seed: int) -> np.ndarray:
         u = _halton(self.n, count, seed)
@@ -351,13 +307,16 @@ def newton_solve(sys: NumericSystem, x0: Sequence[float], tol: float = 1e-10) ->
 
     Steps are shortened to keep every coordinate strictly positive, then
     halved until the residual norm decreases.  Statuses: ``converged``,
-    ``singular-jacobian``, ``no-descent``, ``diverged``, ``max-iterations``.
+    ``non-finite`` (f overflows at the start), ``singular-jacobian``,
+    ``no-descent``, ``diverged``, ``max-iterations``.
     """
     x = np.array(x0, dtype=float)
     if np.any(x <= 0):
         raise ValueError("start point must be strictly positive")
     fx = sys.f(x)
     r = float(np.linalg.norm(fx))
+    if not math.isfinite(r):
+        return NewtonResult(None, r, False, "non-finite", 0)
     for it in range(1, NEWTON_MAX_ITER + 1):
         if r <= tol:
             return NewtonResult(x, r, True, "converged", it - 1)
@@ -446,18 +405,19 @@ def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int, expect_
     root and their sum as the degree estimate.
 
     With ``expect_unique=True`` (census certified a one-signed
-    determinant) a count other than one raises UniqueEquilibriumError.
+    determinant) a count other than one raises UniqueEquilibriumError,
+    whose message tallies the Newton exit statuses.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
     x0s = domain.sample_interior(starts, seed)
     roots = []
-    converged = 0
-    for x0 in x0s:
-        res = newton_solve(sys, x0, tol=COUNT_TOL)
-        if res.converged:
-            converged += 1
-            if domain.contains(res.point):
+    statuses = Counter()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x0 in x0s:
+            res = newton_solve(sys, x0, tol=COUNT_TOL)
+            statuses[res.status] += 1
+            if res.converged and domain.contains(res.point):
                 roots.append((tuple(res.point), res.residual))
     roots.sort()
     reps: List[Tuple[np.ndarray, float]] = []
@@ -475,10 +435,11 @@ def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int, expect_
         sign, _ = np.linalg.slogdet(sys.jac(p))
         equilibria.append(Equilibrium(tuple(p), residual, int(sign)))
     degree = sum(e.det_sign for e in equilibria)
-    report = EquilibriumReport(equilibria, degree, starts, seed, converged)
+    report = EquilibriumReport(equilibria, degree, starts, seed, statuses["converged"])
     if expect_unique and report.count != 1:
+        tally = ", ".join(f"{status} {k}" for status, k in sorted(statuses.items()))
         raise UniqueEquilibriumError(
-            f"one-signed determinant guarantees a unique equilibrium, found {report.count}"
+            f"one-signed determinant guarantees a unique equilibrium, found {report.count}; Newton starts: {tally}"
         )
     return report
 
@@ -581,12 +542,16 @@ def _correct(sys: NumericSystem, x0: np.ndarray, lam: float, max_iter: int = 8):
     return float(np.linalg.norm(fx)) <= CORRECTOR_TOL, x, max_iter
 
 
-def match_endpoint(report: EquilibriumReport, endpoint: Sequence[float], radius: float = 1e-6) -> Optional[int]:
-    """Index of the report equilibrium matching the homotopy endpoint, if any."""
+MATCH_RADIUS = 1e-6
+
+
+def match_endpoint(report: EquilibriumReport, endpoint: Sequence[float]) -> Optional[int]:
+    """Index of the report equilibrium within the relative MATCH_RADIUS of
+    the homotopy endpoint, if any."""
     e = np.asarray(endpoint)
     for i, eq in enumerate(report.equilibria):
         p = np.array(eq.point)
-        if np.linalg.norm(e - p) <= radius * (1.0 + np.linalg.norm(p)):
+        if np.linalg.norm(e - p) <= MATCH_RADIUS * (1.0 + np.linalg.norm(p)):
             return i
     return None
 
@@ -664,21 +629,6 @@ def _audit(faces, evaluate: Callable, lambdas: Sequence[float]) -> BoundaryAudit
                 if not value > 0:
                     violations.append({"face": face, "lambda": lam, "c": list(c), "margin": value})
     return BoundaryAudit(violations, sum(len(points) for _, points, _ in faces))
-
-
-def sample_determinant_signs(sys: NumericSystem, domain, samples: int = 2000, seed: int = 0) -> Dict[int, int]:
-    """Histogram of sign(det jac) over sampled interior points.
-
-    Numeric stand-in for sign conditions that hold only on the bounded
-    domain rather than the whole orthant: a single nonzero sign over many
-    samples is evidence (not proof) that the determinant is one-signed
-    there, so the equilibrium count matches |degree|.
-    """
-    counts: Dict[int, int] = {}
-    for c in domain.sample_interior(samples, seed):
-        sign, _ = np.linalg.slogdet(sys.jac(c))
-        counts[int(sign)] = counts.get(int(sign), 0) + 1
-    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ all operations are pure, so polynomials are safe to share concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 CONCENTRATION = 0
 RATE_CONSTANT = 1
@@ -251,13 +251,6 @@ class Polynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
-
-    def render_terms(self) -> List[str]:
-        """One text rendering per term, in canonical monomial order."""
-        out = []
-        for m, c in self.sorted_terms():
-            out.append(f"{c}" if not m else f"{c}*{mono_format(m)}")
-        return out
 
 
 def differentiate(p: Polynomial, x: Indeterminate) -> Polynomial:

@@ -318,6 +318,25 @@ def test_count_cascade_certifies_only_one_root(capsys, argv, message):
     assert message in err
 
 
+def test_count_general_kinetics_file_points_to_census(tmp_path, capsys):
+    # Numeric systems are mass-action only; general kinetics are census-only.
+    f = tmp_path / "general.crn"
+    f.write_text("A -> B ; kinetics=general\n")
+    code, out, err = _run(capsys, "count", str(f))
+    assert code == 1
+    assert out == ""
+    assert err == "error: count needs mass-action kinetics; A->B is general (census-only: crn census --kinetics general)\n"
+
+
+def test_count_overflowing_domain_fails_in_one_line(capsys):
+    # M = 9e300 is finite, but f overflows at every start point: each start
+    # ends "non-finite" without a numpy warning, and the failure says so.
+    code, out, err = _run(capsys, "count", "--fixture", "example-6.1", *_K_61, "--domain-mult", "1e300")
+    assert code == 1
+    assert out == ""
+    assert err == "error: one-signed determinant guarantees a unique equilibrium, found 0; Newton starts: non-finite 100\n"
+
+
 def _boundary_cases():
     for index, name in enumerate(NETWORK_FIXTURES):
         rng = np.random.default_rng(index)
@@ -369,3 +388,16 @@ def test_readme_examples_exit_codes(capsys):
                 checked += 1
             comment = ""
     assert checked
+
+
+def test_readme_python_api_runs():
+    # The README's Python API block runs as written, so it cannot name a
+    # deleted function.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Python API\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["census"].total_terms == 13
+    assert namespace["report"].count == 1
+    assert namespace["audit"].clean
+    assert namespace["at"] is True and namespace["on"] is False

@@ -93,7 +93,6 @@ def test_general_kinetics_deps_and_signs():
     assert kin.dependencies == (0, 1, 2)
     assert kin.sign_of(1) == -1
     assert kin.sign_of(2) == 0
-    assert kin.monotonicity_class(net.reactions[0].source) == "strictly-monotone"
 
 
 def test_signs_must_cover_dependencies():

@@ -10,19 +10,16 @@ from crncount.network import (
     ReactionNetwork,
     Species,
     make_reaction,
-    reaction_vectors,
-    stoichiometric_rank,
     with_general_kinetics,
 )
 from crncount.numeric import numeric_system_from_network
 
-NET_51 = "2A1 <-> A1+A2\nA1+A2 <-> 2A2\n2A2 <-> 2A1\n"
 NET_61 = "A+B -> P\nB+C -> Q\nC -> 2A\n"
 
 
 def test_reaction_vector_simple():
     net = parse_network("A+B -> P\n")
-    assert reaction_vectors(net) == [(-1, -1, 1)]
+    assert [r.reaction_vector(net.n) for r in net.reactions] == [(-1, -1, 1)]
 
 
 def test_reaction_vector_c_to_2a():
@@ -38,26 +35,6 @@ def test_reaction_vector_vanishes_outside_supports():
         support = set(r.source.support) | set(r.target.support)
         vec = r.reaction_vector(net.n)
         assert all(vec[i] == 0 for i in range(net.n) if i not in support)
-
-
-def test_rank_network_51_is_one():
-    assert stoichiometric_rank(parse_network(NET_51)) == 1
-
-
-def test_rank_example_61_is_three():
-    # Oracle: the 3x3 minor on columns (A, B, Q) of the reaction-vector
-    # matrix has determinant -2, checked by integer cofactor expansion.
-    net = parse_network(NET_61)
-    vecs = reaction_vectors(net)
-    cols = [net.species_index(s) for s in ("A", "B", "Q")]
-    minor = [[v[c] for c in cols] for v in vecs]
-    det = (
-        minor[0][0] * (minor[1][1] * minor[2][2] - minor[1][2] * minor[2][1])
-        - minor[0][1] * (minor[1][0] * minor[2][2] - minor[1][2] * minor[2][0])
-        + minor[0][2] * (minor[1][0] * minor[2][1] - minor[1][1] * minor[2][0])
-    )
-    assert det == -2
-    assert stoichiometric_rank(net) == 3
 
 
 def test_flow_reaction_rejected():
@@ -122,11 +99,9 @@ def test_with_general_kinetics_defaults_to_consumptively_increasing():
     r = net.reactions[0]  # A+B -> P
     assert r.kinetics.dependencies == r.source.support
     assert all(s == 1 for _, s in r.kinetics.partial_signs)
-    assert r.kinetics.monotonicity_class(r.source) == "consumptively-increasing"
 
 
 def test_with_general_kinetics_sign_overrides():
     net = with_general_kinetics(parse_network(NET_61), signs={"A+B->P": {"A": 1, "C": -1}})
     r = net.reactions[0]
     assert r.kinetics.sign_of(net.species_index("C")) == -1
-    assert r.kinetics.monotonicity_class(r.source) == "strictly-monotone"

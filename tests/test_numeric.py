@@ -1,12 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from crncount.conservation import conserved_mass_vector
 from crncount.dsl import parse_network
 from crncount.fixtures import fixture_network, mapk_cube, thron_box, thron_cascade, unit_cube
-from crncount.network import FlowAugmentation, GeneralMonotone, NetworkError, ReactionNetwork
+from crncount.network import FlowAugmentation, NetworkError
 from crncount.numeric import (
     BOX_ZERO_TOL,
     BoxDomain,
@@ -18,7 +16,6 @@ from crncount.numeric import (
     box_audit,
     count_equilibria,
     default_domain,
-    finite_difference_jacobian,
     flow_system,
     make_domain,
     match_endpoint,
@@ -41,6 +38,17 @@ def _system_61(k3=0.5, k1=1.0, k2=1.0, inflow=1.0):
 
 def _flow_only(inflow=(1.0, 2.0, 3.0), outflow=(1.0, 0.5, 2.0)):
     return flow_system(FlowAugmentation(inflow, outflow))
+
+
+def _finite_difference_jacobian(f, c, scale=1e-6):
+    """Central-difference Jacobian with step scale*(1+|c_i|) per coordinate."""
+    J = np.zeros((len(c), len(c)))
+    for i in range(len(c)):
+        h = scale * (1.0 + abs(c[i]))
+        step = np.zeros(len(c))
+        step[i] = h
+        J[:, i] = (f(c + step) - f(c - step)) / (2 * h)
+    return J
 
 
 # --- domains ---------------------------------------------------------------
@@ -88,7 +96,6 @@ def test_box_domain():
     box = BoxDomain([0.0, 0.0], [1.0, 2.0])
     pts = box.sample_interior(100, seed=0)
     assert all(box.contains(p) for p in pts)
-    assert box.boundary_distance(np.array([0.25, 1.0])) == pytest.approx(0.25)
     face = box.sample_face(0, upper=True, count=10, seed=1)
     assert np.all(face[:, 0] == 1.0)
 
@@ -170,7 +177,7 @@ def test_count_expect_unique_violation():
     rep = count_equilibria(sys, dom, starts=30, seed=0)
     assert rep.count == 2
     assert rep.degree_estimate == 0
-    with pytest.raises(UniqueEquilibriumError):
+    with pytest.raises(UniqueEquilibriumError, match=r"found 2; Newton starts: converged 30$"):
         count_equilibria(sys, dom, starts=30, seed=0, expect_unique=True)
 
 
@@ -194,7 +201,7 @@ def test_jacobian_consistency_fixtures():
             else:
                 c = rng.uniform(0.1, 3.0, sys.n)
             J = sys.jac(c)
-            J_fd = finite_difference_jacobian(sys.f, c)
+            J_fd = _finite_difference_jacobian(sys.f, c)
             assert np.allclose(J, J_fd, rtol=1e-6, atol=1e-6 * (1 + np.abs(J).max()))
 
 
@@ -209,35 +216,9 @@ def test_positive_invariance_at_sides():
         assert sys.g(c)[j] >= 0
 
 
-def test_general_kinetics_evaluator_system():
-    # single saturating conversion A -> B, rate c_A/(1+c_A)
+def test_general_kinetics_rejected():
     net = parse_network("A -> B ; kinetics=general\n")
-
-    def evaluator(c):
-        rate = c[0] / (1.0 + c[0])
-        partials = np.array([1.0 / (1.0 + c[0]) ** 2, 0.0])
-        return rate, partials
-
-    reactions = tuple(
-        dataclasses.replace(r, kinetics=GeneralMonotone(r.kinetics.partial_signs, evaluator))
-        for r in net.reactions
-    )
-    net2 = ReactionNetwork(net.species, reactions)
-    flows = FlowAugmentation.uniform(2)
-    sys = numeric_system_from_network(net2, {}, flows)
-    c = np.array([0.5, 0.25])
-    assert np.allclose(sys.jac(c), finite_difference_jacobian(sys.f, c), rtol=1e-6)
-    rep = count_equilibria(sys, make_domain([1.0, 1.0], flows, 10.0), starts=30, seed=1)
-    assert rep.count == 1
-    # equilibrium: c_B = 1 + rate, c_A solves 1 - c_A - c_A/(1+c_A) = 0
-    cA, cB = rep.equilibria[0].point
-    assert 1.0 - cA - cA / (1 + cA) == pytest.approx(0.0, abs=1e-10)
-    assert cB == pytest.approx(1.0 + cA / (1 + cA), abs=1e-10)
-
-
-def test_general_kinetics_requires_evaluator():
-    net = parse_network("A -> B ; kinetics=general\n")
-    with pytest.raises(NetworkError, match="numeric evaluator"):
+    with pytest.raises(NetworkError, match="reaction A->B does not have mass-action kinetics"):
         numeric_system_from_network(net, {}, FlowAugmentation.uniform(2))
 
 
@@ -288,7 +269,7 @@ def test_homotopy_matches_multistart_on_example_61():
     path = track_homotopy(sys, dom)
     assert rep.count == 1
     assert path.endpoint_residual <= 1e-9
-    assert match_endpoint(rep, path.endpoint, radius=1e-6) == 0
+    assert match_endpoint(rep, path.endpoint) == 0
     # endpoint is an equilibrium of the full system and det has sign (-1)^5
     sign, _ = np.linalg.slogdet(sys.jac(np.array(path.endpoint)))
     assert sign == -1
@@ -417,12 +398,16 @@ def test_box_audit_unit_cube_faces():
             assert sys.f(c)[j] < 0
 
 
-def test_determinant_sign_sampling():
-    from crncount.numeric import sample_determinant_signs
+def _determinant_signs(sys, domain, samples, seed):
+    """Histogram of sign(det jac) over sampled interior points."""
+    signs = [int(np.linalg.slogdet(sys.jac(c))[0]) for c in domain.sample_interior(samples, seed)]
+    return {s: signs.count(s) for s in set(signs)}
 
+
+def test_determinant_sign_sampling():
     # within the certified region the sampled determinant has one sign
     _, sys, dom, _ = _system_61(k3=0.5)
-    counts = sample_determinant_signs(sys, dom, samples=500, seed=1)
+    counts = _determinant_signs(sys, dom, samples=500, seed=1)
     assert set(counts) == {-1}
     # at multistationary parameters both signs appear inside the domain
     net = fixture_network("example-6.1")
@@ -431,7 +416,7 @@ def test_determinant_sign_sampling():
     flows = FlowAugmentation(tuple(inflow[s] for s in net.names), (1.0,) * 5)
     sys2 = numeric_system_from_network(net, k, flows)
     dom2 = default_domain(conserved_mass_vector(net), flows)
-    counts2 = sample_determinant_signs(sys2, dom2, samples=2000, seed=2)
+    counts2 = _determinant_signs(sys2, dom2, samples=2000, seed=2)
     assert counts2.get(1, 0) > 0 and counts2.get(-1, 0) > 0
 
 

@@ -167,7 +167,7 @@ def test_rendering_format():
     k = rate_constant("C->2A")
     b = concentration(1, "B")
     p = -1 * PV(k) * PV(b) + PV(b) * PV(b) * 2
-    assert p.render_terms() == ["-1*c[B]*k[C->2A]", "2*c[B]^2"]
+    assert str(p) == "-1*c[B]*k[C->2A] + 2*c[B]^2"
     assert str(Polynomial.zero()) == "0"
 
 
