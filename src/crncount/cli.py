@@ -25,12 +25,12 @@ from .jacobian import (
     build_general_jacobian,
     census_report,
     dominance_conditions,
+    outflow_constant,
     sign_census,
 )
 from .network import FlowAugmentation, MassAction, NetworkError, with_general_kinetics
 from .numeric import (
     PathTrackingError,
-    box_audit,
     count_equilibria,
     default_domain,
     flow_system,
@@ -132,6 +132,7 @@ def _cmd_census(args):
     if args.kinetics == "general":
         J = build_general_jacobian(with_general_kinetics(net), outflow=outflow_mode)
     else:
+        _require_mass_action(net, "census --kinetics mass-action")
         J = augmented_mass_action_jacobian(net, outflow=outflow_mode)
     census, _, report = _census(net, J)
     report["kinetics"] = args.kinetics
@@ -167,74 +168,89 @@ def _parse_bindings(pairs):
     return out
 
 
-# Every system _cmd_count builds is c_in - outflow*c + g(c) with mass-action
-# g at finite positive rates, positive flows, a positive m that is conserved
-# or dissipating, and M > m.c_in; these make the boundary zero-free.
+# Every network or flow-only system _cmd_count builds is c_in - outflow*c + g(c)
+# with mass-action g at finite positive rates, positive flows, a positive m that
+# is conserved or dissipating, and M > m.c_in; these make the boundary zero-free.
 _STRUCTURAL_ARGUMENT = (
     "f_lambda_j >= c_in_j > 0 where c_j = 0 (every term consuming j has the factor c_j); "
     "m.f_lambda <= m.c_in - M < 0 where m.(outflow*c) = M (m conserved or dissipating)"
 )
-_SAMPLED_ARGUMENT = "sampled box faces: f_j > 0 on each lower face, no zero of f on any face"
+# Each cascade has exactly one positive equilibrium at every parameter set that
+# is finite and > 0, the only ones its constructor accepts.
+_CASCADE_ARGUMENTS = {
+    "mapk-thron": "every equilibrium solves p1*c0/(p2+c3) = p5*c3/(p6+c3), with c1 and c2 fixed by c3; the left side "
+    "decreases and the right side increases in c3, so there is exactly one positive equilibrium",
+    "mapk-cube": "f_j >= 0 on each face c_j = 0, and f != 0 there (where input_j = 0, f_1 > 0 or f_2 > 0); "
+    "f_j = -b_j/(1+a_j) < 0 on each face c_j = 1; so the straight-line homotopy to c* - c gives degree -1 "
+    "on the cube, and det J < 0 (cyclic feedback) leaves exactly one root",
+}
 
 
 def _cmd_count(args):
     if args.flow_only and (args.file or args.fixture or args.k or args.mass):
         raise ValueError("--flow-only takes no network file, --fixture, --k or --mass")
-    if args.fixture in fixtures.NUMERIC_FIXTURES:
-        return _count_numeric_fixture(args)
-    inflow = "1" if args.inflow is None else args.inflow
-    outflow = "1" if args.outflow is None else args.outflow
-    domain_mult = 10.0 if args.domain_mult is None else args.domain_mult
-    if args.flow_only:
-        n = max(len([p for p in inflow.split(",") if p]), len([p for p in outflow.split(",") if p]))
-        flows = FlowAugmentation(_parse_vector(inflow, n, "inflow"), _parse_vector(outflow, n, "outflow"))
-        sys_ = flow_system(flows)
-        m_floats = [1.0] * n
-        census_block, certified = None, True
+    cascade = args.fixture in fixtures.NUMERIC_FIXTURES
+    census_block, certified = None, True
+    if cascade:
+        sys_, domain = _cascade_system(args)
+        domain_block = {"box_lo": list(domain.lo), "box_hi": list(domain.hi)}
     else:
-        net = _load_network(args)
-        general = next((r.label for r in net.reactions if not isinstance(r.kinetics, MassAction)), None)
-        if general:
-            raise NetworkError(f"count needs mass-action kinetics; {general} is general (census-only: crn census --kinetics general)")
-        flows = FlowAugmentation(_parse_vector(inflow, net.n, "inflow"), _parse_vector(outflow, net.n, "outflow"))
-        bindings = _parse_bindings(args.k)
-        # A rate fixed by k= in the file wins over --k, so binding it would be ignored.
-        free = {r.label for r in net.reactions if isinstance(r.kinetics, MassAction) and r.kinetics.value is None}
-        unknown = set(bindings) - free
-        if unknown:
-            raise ValueError(f"--k names no rate constant left unbound by the network: {', '.join(sorted(unknown))}")
-        sys_ = numeric_system_from_network(net, bindings, flows)
-        if args.mass:
-            m = [Fraction(p) for p in args.mass.split(",")]
-            verdict = check_mass_vector(net, m)
-            if verdict.value == "neither":
-                raise NetworkError("--mass vector is neither conserved nor dissipating for this network")
-            m_floats = [float(x) for x in m]
+        inflow = "1" if args.inflow is None else args.inflow
+        outflow = "1" if args.outflow is None else args.outflow
+        if args.flow_only:
+            n = max(len([p for p in inflow.split(",") if p]), len([p for p in outflow.split(",") if p]))
+            flows = FlowAugmentation(_parse_vector(inflow, n, "inflow"), _parse_vector(outflow, n, "outflow"))
+            sys_ = flow_system(flows)
+            m_floats = [1.0] * n
         else:
-            mv = conserved_mass_vector(net)
-            if mv is None:
-                raise NetworkError("network is not conservative; supply a dissipating --mass vector")
-            m_floats = list(mv.as_floats())
-        census_block, certified = _count_census(net, bindings, flows)
+            net = _load_network(args)
+            _require_mass_action(net, "count")
+            flows = FlowAugmentation(_parse_vector(inflow, net.n, "inflow"), _parse_vector(outflow, net.n, "outflow"))
+            bindings = _parse_bindings(args.k)
+            # A rate fixed by k= in the file wins over --k, so binding it would be ignored.
+            free = {r.label for r in net.reactions if r.kinetics.value is None}
+            unknown = set(bindings) - free
+            if unknown:
+                raise ValueError(f"--k names no rate constant left unbound by the network: {', '.join(sorted(unknown))}")
+            sys_ = numeric_system_from_network(net, bindings, flows)
+            if args.mass:
+                m = [Fraction(p) for p in args.mass.split(",")]
+                verdict = check_mass_vector(net, m)
+                if verdict.value == "neither":
+                    raise NetworkError("--mass vector is neither conserved nor dissipating for this network")
+                m_floats = [float(x) for x in m]
+            else:
+                mv = conserved_mass_vector(net)
+                if mv is None:
+                    raise NetworkError("network is not conservative; supply a dissipating --mass vector")
+                m_floats = list(mv.as_floats())
+            census_block, certified = _count_census(net, bindings, flows)
+        domain = default_domain(m_floats, flows, 10.0 if args.domain_mult is None else args.domain_mult)
+        domain_block = {"m": m_floats, "M": domain.bound, "outflow": list(flows.outflow)}
 
-    domain = default_domain(m_floats, flows, domain_mult)
     report_eq = count_equilibria(sys_, domain, starts=args.starts, seed=args.seed, expect_unique=certified)
-    homotopy: dict
-    try:
-        path = track_homotopy(sys_, domain)
-        homotopy = {**path.to_dict(), "matched_equilibrium": match_endpoint(report_eq, path.endpoint)}
-    except PathTrackingError as exc:
-        homotopy = {"stalled": True, "reason": str(exc), "last_lambda": exc.last_lambda}
-
+    argument = _CASCADE_ARGUMENTS.get(args.fixture, _STRUCTURAL_ARGUMENT)
     report = {
-        "domain": {"m": m_floats, "M": domain.bound, "outflow": list(flows.outflow)},
+        "domain": domain_block,
         **report_eq.to_dict(),
-        "homotopy": homotopy,
-        "boundary": {"certified": True, "argument": _STRUCTURAL_ARGUMENT, "violations": []},
-        "census": census_block,
+        "boundary": {"certified": True, "argument": argument, "violations": []},
     }
-    code = EXIT_OK if certified else EXIT_UNCERTIFIED
-    return report, code
+    if cascade:
+        report["fixture"] = args.fixture
+    else:
+        try:
+            path = track_homotopy(sys_, domain)
+            report["homotopy"] = {**path.to_dict(), "matched_equilibrium": match_endpoint(report_eq, path.endpoint)}
+        except PathTrackingError as exc:
+            report["homotopy"] = {"stalled": True, "reason": str(exc), "last_lambda": exc.last_lambda}
+        report["census"] = census_block
+    return report, EXIT_OK if certified else EXIT_UNCERTIFIED
+
+
+def _require_mass_action(net, command):
+    general = next((r.label for r in net.reactions if not isinstance(r.kinetics, MassAction)), None)
+    if general:
+        raise NetworkError(f"{command} needs mass-action kinetics; {general} is general (census-only: crn census --kinetics general)")
 
 
 def _count_census(net, bindings, flows):
@@ -255,46 +271,25 @@ def _count_census(net, bindings, flows):
         # A one-signed determinant also follows when every dominance
         # condition holds at the bound parameter values.
         values = {rate_constant(r.label): bindings.get(r.label, r.kinetics.value) for r in net.reactions}
-        values.update({rate_constant(f"{name}->0"): lam for name, lam in zip(net.names, flows.outflow)})
+        values.update({outflow_constant(name): lam for name, lam in zip(net.names, flows.outflow)})
         certified = all(c.holds_at(values) for c in conditions)
         census_block["conditions_hold_at_parameters"] = certified
     return census_block, certified
 
 
-_THRON_KEYS = ("p1", "p2", "p3", "p4", "p5", "p6")
-_CUBE_KEYS = ("a1", "a2", "a3", "b1", "b2", "b3", "d1", "d2", "d3", "e1", "e2", "e3", "mu", "k")
-
-
-def _count_numeric_fixture(args):
+def _cascade_system(args):
+    """The cascade named by --fixture at its --k parameters (default 1), and its counting box."""
     if any(value is not None for value in (args.file, args.inflow, args.outflow, args.mass, args.domain_mult)):
         raise ValueError(f"--fixture {args.fixture} takes no network file, --inflow, --outflow, --mass or --domain-mult")
     bindings = _parse_bindings(args.k)
+    keys = fixtures.NUMERIC_FIXTURES[args.fixture]
+    unknown = set(bindings) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {args.fixture} parameters: {', '.join(sorted(unknown))}")
+    v = [bindings.get(key, 1.0) for key in keys]
     if args.fixture == "mapk-thron":
-        unknown = set(bindings) - set(_THRON_KEYS) - {"c0"}
-        if unknown:
-            raise ValueError(f"unknown mapk-thron parameters: {', '.join(sorted(unknown))}")
-        p = [bindings.get(key, 1.0) for key in _THRON_KEYS]
-        c0 = bindings.get("c0", 1.0)
-        sys_ = fixtures.thron_cascade(p, c0)
-        box = fixtures.thron_box()
-    else:
-        unknown = set(bindings) - set(_CUBE_KEYS)
-        if unknown:
-            raise ValueError(f"unknown mapk-cube parameters: {', '.join(sorted(unknown))}")
-        get3 = lambda stem: [bindings.get(f"{stem}{i}", 1.0) for i in (1, 2, 3)]
-        sys_ = fixtures.mapk_cube(get3("a"), get3("b"), get3("d"), get3("e"), bindings.get("mu", 1.0), bindings.get("k", 1.0))
-        box = fixtures.unit_cube()
-    audit = box_audit(sys_, box, samples=600, seed=args.seed)
-    # The cyclic-feedback fixtures have a one-signed Jacobian determinant
-    # for every positive parameter choice, so a clean audit certifies.
-    report_eq = count_equilibria(sys_, box, starts=args.starts, seed=args.seed, expect_unique=audit.clean)
-    report = {
-        "domain": {"box_lo": list(box.lo), "box_hi": list(box.hi)},
-        **report_eq.to_dict(),
-        "boundary": {"certified": audit.clean, "argument": _SAMPLED_ARGUMENT, "violations": audit.violations},
-        "fixture": args.fixture,
-    }
-    return report, EXIT_OK if audit.clean else EXIT_UNCERTIFIED
+        return fixtures.thron_cascade(v[:6], v[6]), fixtures.thron_box()
+    return fixtures.mapk_cube(v[0:3], v[3:6], v[6:9], v[9:12], v[12], v[13]), fixtures.unit_cube()
 
 
 if __name__ == "__main__":

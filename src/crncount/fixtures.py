@@ -35,11 +35,16 @@ NETWORK_FIXTURES: Dict[str, str] = {
     "ctf06-6": "S1+E <-> ES1\nS2+E <-> ES2\nS2+ES1 <-> ES1S2\nES1S2 <-> S1+ES2\nES1S2 -> E+P\n",
 }
 
-NUMERIC_FIXTURES = ("mapk-thron", "mapk-cube")
+# The numeric fixtures, each with its parameter names in the order its
+# constructor takes them.
+NUMERIC_FIXTURES = {
+    "mapk-thron": ("p1", "p2", "p3", "p4", "p5", "p6", "c0"),
+    "mapk-cube": ("a1", "a2", "a3", "b1", "b2", "b3", "d1", "d2", "d3", "e1", "e2", "e3", "mu", "k"),
+}
 
 
 def fixture_names() -> Tuple[str, ...]:
-    return tuple(NETWORK_FIXTURES) + NUMERIC_FIXTURES
+    return tuple(NETWORK_FIXTURES) + tuple(NUMERIC_FIXTURES)
 
 
 def fixture_network(name: str) -> ReactionNetwork:
@@ -70,7 +75,7 @@ def thron_cascade(p: Sequence[float], c0: float) -> NumericSystem:
     """
     p1, p2, p3, p4, p5, p6 = (float(x) for x in p)
     c0 = float(c0)
-    _check_parameters(("p1", "p2", "p3", "p4", "p5", "p6", "c0"), (p1, p2, p3, p4, p5, p6, c0))
+    _check_parameters(NUMERIC_FIXTURES["mapk-thron"], (p1, p2, p3, p4, p5, p6, c0))
 
     def f(c: np.ndarray) -> np.ndarray:
         return np.array(
@@ -94,7 +99,7 @@ def thron_cascade(p: Sequence[float], c0: float) -> NumericSystem:
 
 
 def thron_box(delta: float = 0.25) -> BoxDomain:
-    """Box (0, 1/delta^4)^3 used for the cascade's outer-boundary audit."""
+    """Box (0, 1/delta^4)^3 in which ``crn count`` counts the cascade's equilibria."""
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
     hi = (1.0 / delta) ** 4
@@ -119,14 +124,10 @@ def mapk_cube(
     For any strictly positive parameters the Jacobian has the cyclic
     feedback form, so its determinant is strictly negative on the cube.
     """
-    a = np.array([float(x) for x in a])
-    b = np.array([float(x) for x in b])
-    d = np.array([float(x) for x in d])
-    e = np.array([float(x) for x in e])
+    a, b, d, e = (np.array([float(x) for x in v]) for v in (a, b, d, e))
     mu = float(mu)
     k = float(k)
-    names = [f"{stem}{i}" for stem in "abde" for i in (1, 2, 3)] + ["mu", "k"]
-    _check_parameters(names, [*a, *b, *d, *e, mu, k])
+    _check_parameters(NUMERIC_FIXTURES["mapk-cube"], [*a, *b, *d, *e, mu, k])
 
     def drive(j: int, c_j: float) -> float:
         return d[j] * (1.0 - c_j) / (e[j] + (1.0 - c_j))

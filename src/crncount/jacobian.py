@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .network import GeneralMonotone, MassAction, NetworkError, ReactionNetwork
 from .polynomial import (
     CONCENTRATION,
+    Indeterminate,
     Monomial,
     Polynomial,
     concentration,
@@ -113,13 +114,18 @@ def augmented_mass_action_jacobian(net: ReactionNetwork, outflow: str = UNIT_OUT
     return J
 
 
+def outflow_constant(name: str) -> Indeterminate:
+    """The symbol k[X->0] of species X's outflow constant."""
+    return rate_constant(f"{name}->0")
+
+
 def _subtract_outflows(J: List[List[Polynomial]], net: ReactionNetwork, outflow: str) -> None:
     """Subtract each species' outflow constant from the Jacobian diagonal:
-    1 with ``outflow="unit"``, the symbol k[X->0] with ``outflow="symbolic"``."""
+    1 with ``outflow="unit"``, ``outflow_constant(X)`` with ``outflow="symbolic"``."""
     if outflow not in (UNIT_OUTFLOW, SYMBOLIC_OUTFLOW):
         raise ValueError(f"unknown outflow mode {outflow!r}")
     for j, name in enumerate(net.names):
-        factor = () if outflow == UNIT_OUTFLOW else ((rate_constant(f"{name}->0"), 1),)
+        factor = () if outflow == UNIT_OUTFLOW else ((outflow_constant(name), 1),)
         J[j][j] = J[j][j] - Polynomial.term(1, factor)
 
 

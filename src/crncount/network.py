@@ -211,20 +211,17 @@ class FlowAugmentation:
         return FlowAugmentation((float(inflow),) * n, (float(outflow),) * n)
 
 
-def with_general_kinetics(net: ReactionNetwork, signs: Optional[Dict[str, Dict[str, int]]] = None) -> ReactionNetwork:
-    """Replace every reaction's kinetics by a general monotone law.
+def with_general_kinetics(net: ReactionNetwork) -> ReactionNetwork:
+    """Relax every mass-action reaction to a general monotone law.
 
-    By default each reaction becomes consumptively increasing: it depends
-    exactly on its source species, with strictly positive partials.
-    ``signs`` may override per reaction label, mapping species name to
-    +1, -1, or 0 (sign exists but unknown).
+    A relaxed reaction becomes consumptively increasing: it depends
+    exactly on its source species, with strictly positive partials.  A
+    reaction that already declares a general law keeps it.
     """
-    new_reactions = []
-    for r in net.reactions:
-        sign_map = {idx: +1 for idx in r.source.support}
-        if signs and r.label in signs:
-            sign_map = {net.species_index(nm): s for nm, s in signs[r.label].items()}
-        if not sign_map and not r.source.is_empty:
-            raise NetworkError(f"general kinetics for {r.label} has empty dependency set")
-        new_reactions.append(Reaction(r.source, r.target, GeneralMonotone.from_signs(sign_map), r.label))
-    return ReactionNetwork(net.species, tuple(new_reactions))
+    reactions = tuple(
+        Reaction(r.source, r.target, GeneralMonotone.from_signs({idx: +1 for idx in r.source.support}), r.label)
+        if isinstance(r.kinetics, MassAction)
+        else r
+        for r in net.reactions
+    )
+    return ReactionNetwork(net.species, reactions)

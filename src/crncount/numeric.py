@@ -5,9 +5,9 @@ Network-derived systems are mass-action, hence polynomial; general
 monotone kinetics enter the sign census only.
 
 The audits check by sampling that f has no zeros on a domain boundary.
-They serve custom systems and the box cascades; for network-derived
-systems, where ``crn count`` states this from the network's structure,
-they are its test oracle.
+They serve custom systems.  ``crn count`` samples nothing: it states a
+proof, from the network's structure or for each cascade, and the audits
+are that proof's test oracle.
 
 All searches are deterministic given their seed: start points come from a
 scrambled Halton sequence (``_halton``, the same points as scipy's
@@ -649,7 +649,6 @@ def search_multistationarity(
     budget: int,
     seed: int,
     starts: int = 60,
-    domain_mult: float = 10.0,
 ) -> Optional[MultistationarityWitness]:
     """Randomised search for parameters with two or more equilibria.
 
@@ -657,10 +656,11 @@ def search_multistationarity(
     census certifies a one-signed determinant, since multiple zeros are
     then impossible for every rate and outflow the sampler may draw.
     ``sampler`` maps an RNG to {"k": {label: value}, "inflow"?: vector,
-    "outflow"?: vector}.  A candidate counts as a witness only when its
-    degree estimate still equals (-1)^n, so an even number of found roots
-    (a missed root) is retried at four times the start count and
-    otherwise rejected.
+    "outflow"?: vector}.  Each trial counts in ``default_domain(m, flows)``
+    of the conserved mass vector m.  A candidate counts as a witness only
+    when its degree estimate still equals (-1)^n, so an even number of
+    found roots (a missed root) is retried at four times the start count
+    and otherwise rejected.
     """
     from .jacobian import augmented_mass_action_jacobian, sign_census
     from .polynomial import determinant_expand, DeterminantSizeError
@@ -684,7 +684,7 @@ def search_multistationarity(
             tuple(params.get("outflow", flows.outflow)),
         )
         sys = numeric_system_from_network(net, params.get("k", {}), trial_flows)
-        domain = default_domain(m, trial_flows, domain_mult)
+        domain = default_domain(m, trial_flows)
         report = count_equilibria(sys, domain, starts, seed=seed + trial + 1)
         if report.count >= 2 and report.degree_estimate != reference:
             report = count_equilibria(sys, domain, 4 * starts, seed=seed + trial + 1)

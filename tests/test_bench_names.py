@@ -6,7 +6,7 @@ import importlib
 import inspect
 from pathlib import Path
 
-from crncount.numeric import NumericSystem
+from crncount.numeric import NumericSystem, search_multistationarity
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -33,3 +33,8 @@ def test_traced_names_resolve():
 def test_f_lambda_takes_what_the_tracer_forwards():
     # The tracer replaces NumericSystem.f_lambda by counted(sys_, c, lam).
     assert len(inspect.signature(NumericSystem.f_lambda).parameters) == 3
+
+
+def test_search_multistationarity_takes_budget():
+    # The tracer reads a search's trial count from kwargs["budget"].
+    assert "budget" in inspect.signature(search_multistationarity).parameters

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 from crncount.cli import main
 from crncount.conservation import conserved_mass_vector
 from crncount.dsl import parse_network
-from crncount.fixtures import NETWORK_FIXTURES, fixture_network
+from crncount.fixtures import NETWORK_FIXTURES, fixture_network, mapk_cube, unit_cube
+from crncount.jacobian import build_general_jacobian, sign_census
 from crncount.network import FlowAugmentation
-from crncount.numeric import boundary_audit, default_domain, numeric_system_from_network
+from crncount.numeric import box_audit, boundary_audit, default_domain, numeric_system_from_network
+from crncount.polynomial import determinant_expand
 
 
 def _run(capsys, *argv):
@@ -55,6 +58,35 @@ def test_census_general_kinetics(capsys):
     report = json.loads(out)
     assert report["total_terms"] == 138
     assert report["histogram"] == {"-1": 96, "-2": 40, "-3": 2}
+
+
+DECLARED_SIGNS = "A+B -> P ; kinetics=general deps=A,B signs=+A,-B\nP -> A+B ; kinetics=general\n"
+
+
+def test_census_general_kinetics_keeps_declared_signs(tmp_path, capsys):
+    # --kinetics general relaxes mass-action reactions only: the file's own
+    # signs=+A,-B give one anomalous term, so uniqueness is not certified.
+    f = tmp_path / "signs.crn"
+    f.write_text(DECLARED_SIGNS)
+    code, out, _ = _run(capsys, "census", str(f), "--kinetics", "general")
+    report = json.loads(out)
+    census = sign_census(determinant_expand(build_general_jacobian(parse_network(DECLARED_SIGNS))), 3)
+    assert code == 2
+    assert report["total_terms"] == census.total_terms == 4
+    assert [a["term"] for a in report["anomalous"]] == [t.render() for t in census.anomalous_terms]
+    assert len(report["anomalous"]) == 1
+
+
+def test_census_mass_action_on_general_file_names_general_kinetics(tmp_path, capsys):
+    f = tmp_path / "signs.crn"
+    f.write_text(DECLARED_SIGNS)
+    code, out, err = _run(capsys, "census", str(f))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: census --kinetics mass-action needs mass-action kinetics; A+B->P is general "
+        "(census-only: crn census --kinetics general)\n"
+    )
 
 
 def test_census_symbolic_outflows(capsys):
@@ -309,13 +341,100 @@ def test_count_rejects_non_finite_domain_bound(capsys, extra):
     ids=["thron-c0-inf", "thron-p1-nan", "cube-mu-inf", "thron-c0-1e12", "cube-mu-1e9"],
 )
 def test_count_cascade_certifies_only_one_root(capsys, argv, message):
-    # A clean box audit certifies a cascade, so the count must then find
-    # exactly one root, as on the network path; parameters that are not
-    # finite and > 0 are refused before the audit.
+    # Each cascade has exactly one positive equilibrium for every positive
+    # parameter set, so the count must find exactly one root in its box, as
+    # on the network path; parameters that are not finite and > 0 are refused.
     code, out, err = _run(capsys, "count", "--fixture", *argv)
     assert code == 1
     assert out == ""
     assert message in err
+
+
+def _thron_c3(p, c0):
+    """Bisection root of p1*c0/(p2+c3) = p5*c3/(p6+c3), whose difference
+    decreases strictly in c3 from p1*c0/p2 > 0 towards -p5 < 0."""
+    h = lambda c3: p[0] * c0 / (p[1] + c3) - p[4] * c3 / (p[5] + c3)
+    lo, hi = 0.0, 1.0
+    while h(hi) > 0:
+        lo, hi = hi, 2 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if h(mid) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _bindings(names, values):
+    return [a for name, value in zip(names, values) for a in ("--k", f"{name}={float(value)!r}")]
+
+
+def test_count_thron_matches_scalar_equation(capsys):
+    # The stated argument for mapk-thron: the one positive equilibrium has the
+    # c3 solving the scalar equation.
+    rng = np.random.default_rng(31)
+    for draw in range(12):
+        p, c0 = 10 ** rng.uniform(-1, 1, 6), 10 ** rng.uniform(-1, 0)
+        c3 = _thron_c3(p, c0)
+        c1 = p[0] * c0 / (p[2] * (p[1] + c3))
+        assert max(c1, p[2] * c1 / p[3], c3) < 256  # inside the counting box (0, 256)^3
+        argv = ["count", "--fixture", "mapk-thron", *_bindings([f"p{i}" for i in range(1, 7)] + ["c0"], [*p, c0])]
+        code, out, err = _run(capsys, *argv, "--seed", str(draw))
+        assert code == 0, (draw, err)
+        report = json.loads(out)
+        assert len(report["equilibria"]) == 1
+        assert abs(report["equilibria"][0]["c"][2] - c3) <= 1e-9 * max(1.0, c3), draw
+        assert report["boundary"]["argument"].startswith("every equilibrium solves p1*c0/(p2+c3) = p5*c3/(p6+c3)")
+
+
+# The benchmark's "slow" mapk-cube rate set, on which most Newton starts crawl.
+CUBE_SLOW = [2.92, 0.32, 0.24, 0.44, 0.15, 7.43, 0.54, 0.22, 0.10, 0.13, 0.27, 0.68, 1.6, 9.16]
+CUBE_KEYS = [f"{stem}{i}" for stem in "abde" for i in (1, 2, 3)] + ["mu", "k"]
+
+
+def test_count_cube_face_signs_hold(capsys):
+    # The stated argument for mapk-cube: f_j >= 0 and f != 0 on each face
+    # c_j = 0, f_j = -b_j/(1+a_j) < 0 on each face c_j = 1, det J < 0 inside.
+    rng = np.random.default_rng(32)
+    draws = [CUBE_SLOW] + [list(10 ** rng.uniform(-1, 1, 14)) for _ in range(8)]
+    box = unit_cube()
+    for draw, v in enumerate(draws):
+        a, b = np.array(v[0:3]), np.array(v[3:6])
+        sys_ = mapk_cube(v[0:3], v[3:6], v[6:9], v[9:12], v[12], v[13])
+        assert box_audit(sys_, box, samples=600, seed=draw).clean, draw
+        for j in range(3):
+            for c in box.sample_face(j, upper=False, count=50, seed=10 * draw + j):
+                f = sys_.f(c)
+                assert f[j] >= 0 and np.max(np.abs(f)) > 0
+            for c in box.sample_face(j, upper=True, count=50, seed=10 * draw + j):
+                assert sys_.f(c)[j] == pytest.approx(-b[j] / (1 + a[j]), rel=1e-12) and sys_.f(c)[j] < 0
+        for c in box.sample_interior(50, seed=draw):
+            assert np.linalg.det(sys_.jac(c)) < 0
+        code, out, err = _run(capsys, "count", "--fixture", "mapk-cube", *_bindings(CUBE_KEYS, v), "--seed", str(draw))
+        assert code == 0, (draw, err)
+        report = json.loads(out)
+        assert len(report["equilibria"]) == 1 and report["degree_estimate"] == -1
+        assert report["boundary"]["violations"] == []
+
+
+def test_count_samples_no_boundary(monkeypatch, capsys):
+    # Every crn count certificate is a stated argument: no run may call a
+    # sampled audit.
+    def refuse(*args, **kwargs):
+        raise AssertionError("crn count called a sampled boundary audit")
+
+    for name, module in list(sys.modules.items()):
+        if name == "crncount" or name.startswith("crncount."):
+            for audit in ("box_audit", "boundary_audit"):
+                if hasattr(module, audit):
+                    monkeypatch.setattr(module, audit, refuse)
+    for argv in (
+        ["--fixture", "example-6.1", "--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=0.5"],
+        ["--flow-only", "--inflow", "2,3", "--outflow", "1,2"],
+        ["--fixture", "mapk-thron", "--k", "c0=1"],
+        ["--fixture", "mapk-cube", "--k", "mu=2"],
+    ):
+        code, out, err = _run(capsys, "count", *argv, "--starts", "30")
+        assert code == 0, (argv, err)
+        assert json.loads(out)["boundary"]["certified"] is True
 
 
 def test_count_general_kinetics_file_points_to_census(tmp_path, capsys):

@@ -102,6 +102,10 @@ def test_with_general_kinetics_defaults_to_consumptively_increasing():
 
 
 def test_with_general_kinetics_sign_overrides():
-    net = with_general_kinetics(parse_network(NET_61), signs={"A+B->P": {"A": 1, "C": -1}})
+    # A law declared in the file is kept; only mass-action reactions are relaxed.
+    net = with_general_kinetics(parse_network("A+B -> P ; kinetics=general deps=A,C signs=+A,-C\nB+C -> Q\nC -> 2A\n"))
     r = net.reactions[0]
+    assert r.kinetics.dependencies == (net.species_index("A"), net.species_index("C"))
+    assert r.kinetics.sign_of(net.species_index("A")) == 1
     assert r.kinetics.sign_of(net.species_index("C")) == -1
+    assert net.reactions[1].kinetics.partial_signs == ((net.species_index("B"), 1), (net.species_index("C"), 1))
