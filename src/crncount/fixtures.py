@@ -78,22 +78,16 @@ def thron_cascade(p: Sequence[float], c0: float) -> NumericSystem:
     _check_parameters(NUMERIC_FIXTURES["mapk-thron"], (p1, p2, p3, p4, p5, p6, c0))
 
     def f(c: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                p1 * c0 / (p2 + c[2]) - p3 * c[0],
-                p3 * c[0] - p4 * c[1],
-                p4 * c[1] - p5 * c[2] / (p6 + c[2]),
-            ]
-        )
+        c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2]
+        return np.stack([p1 * c0 / (p2 + c3) - p3 * c1, p3 * c1 - p4 * c2, p4 * c2 - p5 * c3 / (p6 + c3)], axis=-1)
 
     def jac(c: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                [-p3, 0.0, -p1 * c0 / (p2 + c[2]) ** 2],
-                [p3, -p4, 0.0],
-                [0.0, p4, -p5 * p6 / (p6 + c[2]) ** 2],
-            ]
-        )
+        c3 = c[..., 2]
+        J = np.zeros(c.shape + (3,))
+        J[..., 0, 0], J[..., 0, 2] = -p3, -p1 * c0 / (p2 + c3) ** 2
+        J[..., 1, 0], J[..., 1, 1] = p3, -p4
+        J[..., 2, 1], J[..., 2, 2] = p4, -p5 * p6 / (p6 + c3) ** 2
+        return J
 
     return NumericSystem(3, f, jac, provenance="mapk-thron")
 
@@ -129,28 +123,22 @@ def mapk_cube(
     k = float(k)
     _check_parameters(NUMERIC_FIXTURES["mapk-cube"], [*a, *b, *d, *e, mu, k])
 
-    def drive(j: int, c_j: float) -> float:
-        return d[j] * (1.0 - c_j) / (e[j] + (1.0 - c_j))
+    def drive(c: np.ndarray) -> np.ndarray:
+        return d * (1.0 - c) / (e + (1.0 - c))
 
-    def ddrive(j: int, c_j: float) -> float:
-        return -d[j] * e[j] / (e[j] + (1.0 - c_j)) ** 2
+    def inputs(c: np.ndarray) -> np.ndarray:
+        return np.stack([mu / (1.0 + k * c[..., 2]), c[..., 0], c[..., 1]], axis=-1)
 
     def f(c: np.ndarray) -> np.ndarray:
-        inputs = np.array([mu / (1.0 + k * c[2]), c[0], c[1]])
-        return np.array(
-            [-b[j] * c[j] / (c[j] + a[j]) + drive(j, c[j]) * inputs[j] for j in range(3)]
-        )
+        return -b * c / (c + a) + drive(c) * inputs(c)
 
     def jac(c: np.ndarray) -> np.ndarray:
-        inputs = np.array([mu / (1.0 + k * c[2]), c[0], c[1]])
-        diag = [-b[j] * a[j] / (c[j] + a[j]) ** 2 + ddrive(j, c[j]) * inputs[j] for j in range(3)]
-        return np.array(
-            [
-                [diag[0], 0.0, drive(0, c[0]) * mu * (-k) / (1.0 + k * c[2]) ** 2],
-                [drive(1, c[1]), diag[1], 0.0],
-                [0.0, drive(2, c[2]), diag[2]],
-            ]
-        )
+        J = np.zeros(c.shape + (3,))
+        J[..., [0, 1, 2], [0, 1, 2]] = -b * a / (c + a) ** 2 - d * e / (e + (1.0 - c)) ** 2 * inputs(c)
+        dr = drive(c)
+        J[..., 0, 2] = dr[..., 0] * mu * (-k) / (1.0 + k * c[..., 2]) ** 2
+        J[..., 1, 0], J[..., 2, 1] = dr[..., 1], dr[..., 2]
+        return J
 
     return NumericSystem(3, f, jac, provenance="mapk-cube")
 

@@ -46,12 +46,15 @@ class NumericSystem:
     """Evaluatable dynamical system on the open positive orthant.
 
     ``f`` is the full right-hand side and ``jac`` its Jacobian (valid on
-    the open orthant).  Systems built from flow-augmented networks also
-    carry the decomposition f(c) = c_in - outflow*c + g(c), which the
-    homotopy and ``boundary_audit`` need and check for on entry;
-    standalone fixtures may leave the flow fields as None, and then
-    ``f_lambda``/``jac_lambda`` must not be called.  Evaluators must be
-    pure.
+    the open orthant).  Both evaluate a whole stack of points at once:
+    ``f`` maps an array of shape (..., n) to (..., n) and ``jac`` maps it
+    to (..., n, n), each point on its own, so a single point (n,) gives
+    (n,) and (n, n).  Systems built from flow-augmented networks also
+    carry the decomposition f(c) = c_in - outflow*c + g(c), with ``g``
+    under the same contract, which the homotopy and ``boundary_audit``
+    need and check for on entry; standalone fixtures may leave the flow
+    fields as None, and then ``f_lambda``/``jac_lambda`` must not be
+    called.  Evaluators must be pure.
     """
 
     n: int
@@ -77,15 +80,16 @@ class NumericSystem:
 def flow_system(flows: FlowAugmentation, g=None, jac_g=None, provenance: str = "flow-only") -> NumericSystem:
     """The flow-augmented system f(c) = c_in - outflow*c + g(c).
 
-    ``g`` and its Jacobian ``jac_g`` are the reaction terms; omitted, both
-    are 0 and f is the pure-flow system with equilibrium c_in/outflow.
+    ``g`` and its Jacobian ``jac_g`` are the reaction terms, under the
+    evaluator contract of NumericSystem; omitted, both are 0 and f is the
+    pure-flow system with equilibrium c_in/outflow.
     """
     c_in = np.array(flows.inflow)
     outflow = np.array(flows.outflow)
     n = len(c_in)
     if g is None:
-        g = lambda c: np.zeros(n)
-        jac_g = lambda c: np.zeros((n, n))
+        g = lambda c: np.zeros(np.shape(c))
+        jac_g = lambda c: np.zeros(np.shape(c) + (n,))
 
     def f(c: np.ndarray) -> np.ndarray:
         return c_in - outflow * c + g(c)
@@ -130,12 +134,14 @@ def numeric_system_from_network(
     Y = np.array(sources, dtype=float)
     V = np.array(vectors, dtype=float)
 
+    def rates(c: np.ndarray) -> np.ndarray:
+        return kvec * np.prod(np.power(c[..., None, :], Y), axis=-1)
+
     def g(c: np.ndarray) -> np.ndarray:
-        return (kvec * np.prod(np.power(c, Y), axis=1)) @ V
+        return rates(c) @ V
 
     def jac_g(c: np.ndarray) -> np.ndarray:
-        rates = kvec * np.prod(np.power(c, Y), axis=1)
-        return V.T @ (rates[:, None] * Y / c[None, :])
+        return V.T @ (rates(c)[..., :, None] * Y / c[..., None, :])
 
     if len(flows.inflow) != n:
         raise NetworkError(f"flow vectors have length {len(flows.inflow)}, expected {n}")
@@ -161,12 +167,13 @@ class MassDomain:
     def n(self) -> int:
         return len(self.m)
 
-    def contains(self, c: np.ndarray, closed: bool = False, tol: float = 1e-12) -> bool:
+    def contains(self, c: np.ndarray, closed: bool = False, tol: float = 1e-12):
+        """Membership of each point of a (..., n) stack."""
         c = np.asarray(c)
         slack = tol * (1.0 + self.bound)
         if closed:
-            return bool(np.all(c >= -slack) and self.weights @ c <= self.bound + slack)
-        return bool(np.all(c > 0) and self.weights @ c < self.bound)
+            return np.all(c >= -slack, axis=-1) & (c @ self.weights <= self.bound + slack)
+        return np.all(c > 0, axis=-1) & (c @ self.weights < self.bound)
 
     def sample_interior(self, count: int, seed: int) -> np.ndarray:
         X = _simplex_points(self.n, count, seed, on_face=False)
@@ -197,12 +204,13 @@ class BoxDomain:
     def n(self) -> int:
         return len(self.lo)
 
-    def contains(self, c: np.ndarray, closed: bool = False, tol: float = 1e-12) -> bool:
+    def contains(self, c: np.ndarray, closed: bool = False, tol: float = 1e-12):
+        """Membership of each point of a (..., n) stack."""
         c = np.asarray(c)
         slack = tol * (1.0 + np.max(np.abs(self.hi)))
         if closed:
-            return bool(np.all(c >= self.lo - slack) and np.all(c <= self.hi + slack))
-        return bool(np.all(c > self.lo) and np.all(c < self.hi))
+            return np.all((c >= self.lo - slack) & (c <= self.hi + slack), axis=-1)
+        return np.all((c > self.lo) & (c < self.hi), axis=-1)
 
     def sample_interior(self, count: int, seed: int) -> np.ndarray:
         u = _halton(self.n, count, seed)
@@ -303,56 +311,104 @@ NEWTON_MAX_ITER = 100
 
 
 def newton_solve(sys: NumericSystem, x0: Sequence[float], tol: float = 1e-10) -> NewtonResult:
-    """Damped Newton iteration confined to the open positive orthant.
+    """Damped Newton iteration from the strictly positive start point x0:
+    the lockstep kernel ``_newton`` on one row, with its statuses."""
+    points, residuals, statuses, iterations = _newton(sys, [x0], tol)
+    converged = statuses[0] == "converged"
+    return NewtonResult(points[0] if converged else None, float(residuals[0]), converged, statuses[0], int(iterations[0]))
 
-    Steps are shortened to keep every coordinate strictly positive, then
-    halved until the residual norm decreases.  Statuses: ``converged``,
-    ``non-finite`` (f overflows at the start), ``singular-jacobian``,
-    ``no-descent``, ``diverged``, ``max-iterations``.
+
+def _newton(sys: NumericSystem, X, tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton iteration confined to the open positive orthant, run in
+    lockstep from every row of the (P, n) start array ``X``.
+
+    Each row steps as it would alone: its step is shortened to keep every
+    coordinate strictly positive, then halved until its residual norm
+    decreases, in one halving loop shared by the rows still searching.
+    Returns (points, residuals, statuses, iterations), one entry per row;
+    a point is a root only where its status is ``converged``.  The other
+    statuses are ``non-finite`` (f overflows at the start),
+    ``singular-jacobian``, ``no-descent``, ``diverged`` (a coordinate
+    passes 1e14) and ``max-iterations``.
+
+    Raises:
+        ValueError: when a start point is not strictly positive.
     """
-    x = np.array(x0, dtype=float)
-    if np.any(x <= 0):
+    X = np.array(X, dtype=float)
+    if np.any(X <= 0):
         raise ValueError("start point must be strictly positive")
-    fx = sys.f(x)
-    r = float(np.linalg.norm(fx))
-    if not math.isfinite(r):
-        return NewtonResult(None, r, False, "non-finite", 0)
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        if r <= tol:
-            return NewtonResult(x, r, True, "converged", it - 1)
-        try:
-            step = np.linalg.solve(sys.jac(x), -fx)
-        except np.linalg.LinAlgError:
-            return NewtonResult(None, r, False, "singular-jacobian", it - 1)
-        if not np.all(np.isfinite(step)):
-            return NewtonResult(None, r, False, "singular-jacobian", it - 1)
-        alpha = _orthant_step(x, step)
-        accepted = False
-        while alpha > 1e-13:
-            x_new = x + alpha * step
-            f_new = sys.f(x_new)
-            r_new = float(np.linalg.norm(f_new))
-            if np.isfinite(r_new) and r_new < r:
-                x, fx, r = x_new, f_new, r_new
-                accepted = True
+    statuses = np.full(len(X), "", dtype=object)
+    iterations = np.zeros(len(X), dtype=int)
+
+    def end(rows, status, it):
+        statuses[rows] = status
+        iterations[rows] = it
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = sys.f(X)
+        if F.shape != X.shape:
+            raise ValueError(f"f of system {sys.provenance!r} maps (P, n) = {X.shape} to {F.shape}, not to (P, n)")
+        R = np.linalg.norm(F, axis=-1)
+        end(~np.isfinite(R), "non-finite", 0)
+        for it in range(1, NEWTON_MAX_ITER + 1):
+            live = np.flatnonzero(statuses == "")
+            done = R[live] <= tol
+            end(live[done], "converged", it - 1)
+            live = live[~done]
+            if not live.size:
                 break
-            alpha *= 0.5
-        if not accepted:
-            return NewtonResult(None, r, False, "no-descent", it)
-        if np.any(np.abs(x) > 1e14):
-            return NewtonResult(None, r, False, "diverged", it)
-    if r <= tol:
-        return NewtonResult(x, r, True, "converged", NEWTON_MAX_ITER)
-    return NewtonResult(None, r, False, "max-iterations", NEWTON_MAX_ITER)
+            step = _solve_rows(sys.jac(X[live]), -F[live])
+            singular = ~np.all(np.isfinite(step), axis=-1)
+            end(live[singular], "singular-jacobian", it - 1)
+            live, step = live[~singular], step[~singular]
+            x, r = X[live], R[live]
+            alpha = _orthant_step(x, step)
+            accepted = np.zeros(len(live), dtype=bool)
+            pending = np.flatnonzero(alpha > 1e-13)
+            while pending.size:
+                x_new = x[pending] + alpha[pending, None] * step[pending]
+                f_new = sys.f(x_new)
+                r_new = np.linalg.norm(f_new, axis=-1)
+                better = r_new < r[pending]  # r is finite, so a NaN or inf r_new fails
+                if better.any():
+                    rows = live[pending[better]]
+                    X[rows], F[rows], R[rows] = x_new[better], f_new[better], r_new[better]
+                    accepted[pending[better]] = True
+                    pending = pending[~better]
+                alpha[pending] *= 0.5
+                pending = pending[alpha[pending] > 1e-13]
+            end(live[~accepted], "no-descent", it)
+            end(live[accepted & np.any(np.abs(X[live]) > 1e14, axis=-1)], "diverged", it)
+        live = statuses == ""
+        end(live & (R <= tol), "converged", NEWTON_MAX_ITER)
+        end(live & ~(R <= tol), "max-iterations", NEWTON_MAX_ITER)
+    return X, R, statuses, iterations
 
 
-def _orthant_step(x: np.ndarray, step: np.ndarray) -> float:
-    """Step fraction alpha <= 1 that keeps x + alpha*step strictly positive:
-    0.95 of the way to the nearest coordinate plane the step would cross."""
-    negative = step < 0
-    if not np.any(negative):
-        return 1.0
-    return min(1.0, 0.95 * float(np.min(x[negative] / -step[negative])))
+def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solution x[i] of J[i] x = rhs[i] for each row, NaN where J[i] is singular.
+
+    A stacked solve raises when any of its matrices is singular; only then
+    are the rows solved one at a time.
+    """
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for i, (A, b) in enumerate(zip(J, rhs)):
+            try:
+                out[i] = np.linalg.solve(A, b)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _orthant_step(x: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Step fraction alpha <= 1, one per row of x, that keeps x + alpha*step
+    strictly positive: 0.95 of the way to the nearest coordinate plane the
+    step would cross."""
+    ratio = np.divide(x, -step, out=np.full(np.shape(x), np.inf), where=step < 0)
+    return np.minimum(1.0, 0.95 * ratio.min(axis=-1))
 
 
 @dataclass
@@ -368,17 +424,22 @@ DEDUP_RADIUS = 1e-7
 
 @dataclass
 class EquilibriumReport:
-    """Deduplicated equilibria found in a domain, with a degree estimate."""
+    """Deduplicated equilibria found in a domain, with a degree estimate and
+    the number of Newton starts that ended in each status."""
 
     equilibria: List[Equilibrium]
     degree_estimate: int
     starts: int
     seed: int
-    converged_runs: int
+    newton_statuses: Dict[str, int]
 
     @property
     def count(self) -> int:
         return len(self.equilibria)
+
+    @property
+    def converged_runs(self) -> int:
+        return self.newton_statuses.get("converged", 0)
 
     def to_dict(self) -> dict:
         return {
@@ -392,17 +453,18 @@ class EquilibriumReport:
             "tol": COUNT_TOL,
             "dedup_radius": DEDUP_RADIUS,
             "converged_runs": self.converged_runs,
+            "newton_statuses": dict(self.newton_statuses),
         }
 
 
 def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int, expect_unique: bool = False) -> EquilibriumReport:
     """Multistart damped Newton census of equilibria inside a domain.
 
-    Start points are Halton points mapped into the domain; Newton runs to
-    the residual COUNT_TOL; converged roots outside the open domain are
-    discarded; survivors are merged up to the relative DEDUP_RADIUS and
-    reported sorted lexicographically, with the sign of det(jac) at each
-    root and their sum as the degree estimate.
+    Start points are Halton points mapped into the domain; Newton runs
+    from all of them at once to the residual COUNT_TOL; converged roots
+    outside the open domain are discarded; survivors are merged up to the
+    relative DEDUP_RADIUS and reported sorted lexicographically, with the
+    sign of det(jac) at each root and their sum as the degree estimate.
 
     With ``expect_unique=True`` (census certified a one-signed
     determinant) a count other than one raises UniqueEquilibriumError,
@@ -410,16 +472,11 @@ def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int, expect_
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    x0s = domain.sample_interior(starts, seed)
-    roots = []
-    statuses = Counter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x0 in x0s:
-            res = newton_solve(sys, x0, tol=COUNT_TOL)
-            statuses[res.status] += 1
-            if res.converged and domain.contains(res.point):
-                roots.append((tuple(res.point), res.residual))
-    roots.sort()
+    points, residuals, statuses, _ = _newton(sys, domain.sample_interior(starts, seed), COUNT_TOL)
+    converged = statuses == "converged"
+    points, residuals = points[converged], residuals[converged]
+    inside = domain.contains(points)
+    roots = sorted(zip(map(tuple, points[inside].tolist()), residuals[inside].tolist()))
     reps: List[Tuple[np.ndarray, float]] = []
     for point, residual in roots:
         p = np.array(point)
@@ -435,11 +492,12 @@ def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int, expect_
         sign, _ = np.linalg.slogdet(sys.jac(p))
         equilibria.append(Equilibrium(tuple(p), residual, int(sign)))
     degree = sum(e.det_sign for e in equilibria)
-    report = EquilibriumReport(equilibria, degree, starts, seed, statuses["converged"])
+    tally = dict(sorted(Counter(statuses.tolist()).items()))
+    report = EquilibriumReport(equilibria, degree, starts, seed, tally)
     if expect_unique and report.count != 1:
-        tally = ", ".join(f"{status} {k}" for status, k in sorted(statuses.items()))
+        listed = ", ".join(f"{status} {k}" for status, k in tally.items())
         raise UniqueEquilibriumError(
-            f"one-signed determinant guarantees a unique equilibrium, found {report.count}; Newton starts: {tally}"
+            f"one-signed determinant guarantees a unique equilibrium, found {report.count}; Newton starts: {listed}"
         )
     return report
 
@@ -595,8 +653,8 @@ def boundary_audit(sys: NumericSystem, domain: MassDomain, samples: int = 1000, 
     sys._require_flows()
     n = sys.n
     per_side = max(1, samples // (2 * n))
-    faces = [(f"c[{j}]=0", domain.sample_side(j, per_side, seed + j + 1), lambda fc, j=j: fc[j]) for j in range(n)]
-    faces.append(("outer", domain.sample_outer(max(1, samples // 2), seed), lambda fc: -(domain.m @ fc)))
+    faces = [(f"c[{j}]=0", domain.sample_side(j, per_side, seed + j + 1), lambda fc, j=j: fc[..., j]) for j in range(n)]
+    faces.append(("outer", domain.sample_outer(max(1, samples // 2), seed), lambda fc: -(fc @ domain.m)))
     return _audit(faces, sys.f_lambda, LAMBDA_GRID)
 
 
@@ -613,21 +671,20 @@ def box_audit(sys: NumericSystem, box: BoxDomain, samples: int = 600, seed: int 
     for j in range(n):
         lower = box.sample_face(j, False, per_face, seed + 2 * j + 1)
         upper = box.sample_face(j, True, per_face, seed + 2 * j + 2)
-        faces.append((f"c[{j}]=lo", lower, lambda fc, j=j: min(fc[j], np.max(np.abs(fc)) - BOX_ZERO_TOL)))
-        faces.append((f"c[{j}]=hi", upper, lambda fc: np.max(np.abs(fc)) - BOX_ZERO_TOL))
+        faces.append((f"c[{j}]=lo", lower, lambda fc, j=j: np.minimum(fc[..., j], np.max(np.abs(fc), axis=-1) - BOX_ZERO_TOL)))
+        faces.append((f"c[{j}]=hi", upper, lambda fc: np.max(np.abs(fc), axis=-1) - BOX_ZERO_TOL))
     return _audit(faces, lambda c, lam: sys.f(c), (1.0,))
 
 
 def _audit(faces, evaluate: Callable, lambdas: Sequence[float]) -> BoundaryAudit:
-    """Evaluate every sampled point of every (name, points, margin) face at
-    each lambda; a margin that is not > 0 is a violation."""
+    """Evaluate each (name, points, margin) face's whole point array at each
+    lambda; a margin that is not > 0 is a violation.  Violations are listed
+    face by face, in (point, lambda) order."""
     violations = []
     for face, points, margin in faces:
-        for c in points:
-            for lam in lambdas:
-                value = float(margin(evaluate(c, lam)))
-                if not value > 0:
-                    violations.append({"face": face, "lambda": lam, "c": list(c), "margin": value})
+        margins = np.stack([margin(evaluate(points, lam)) for lam in lambdas], axis=-1)
+        for i, l in np.argwhere(~(margins > 0)).tolist():
+            violations.append({"face": face, "lambda": lambdas[l], "c": list(points[i]), "margin": float(margins[i, l])})
     return BoundaryAudit(violations, sum(len(points) for _, points, _ in faces))
 
 

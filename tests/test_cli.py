@@ -447,6 +447,17 @@ def test_count_general_kinetics_file_points_to_census(tmp_path, capsys):
     assert err == "error: count needs mass-action kinetics; A->B is general (census-only: crn census --kinetics general)\n"
 
 
+def test_count_reports_newton_statuses(capsys):
+    # The report tallies how every Newton start ended, converged_runs among them.
+    code, out, _ = _run(capsys, "count", "--fixture", "example-6.1", *_K_61, "--starts", "60", "--seed", "1")
+    assert code == 0
+    report = json.loads(out)
+    statuses = report["newton_statuses"]
+    assert sum(statuses.values()) == 60 and all(k > 0 for k in statuses.values())
+    assert statuses["converged"] == report["converged_runs"]
+    assert set(statuses) <= {"converged", "non-finite", "singular-jacobian", "no-descent", "diverged", "max-iterations"}
+
+
 def test_count_overflowing_domain_fails_in_one_line(capsys):
     # M = 9e300 is finite, but f overflows at every start point: each start
     # ends "non-finite" without a numpy warning, and the failure says so.

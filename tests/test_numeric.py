@@ -7,6 +7,9 @@ from crncount.fixtures import fixture_network, mapk_cube, thron_box, thron_casca
 from crncount.network import FlowAugmentation, NetworkError
 from crncount.numeric import (
     BOX_ZERO_TOL,
+    COUNT_TOL,
+    LAMBDA_GRID,
+    NEWTON_MAX_ITER,
     BoxDomain,
     MassDomain,
     NumericSystem,
@@ -24,6 +27,7 @@ from crncount.numeric import (
     search_multistationarity,
     track_homotopy,
 )
+from crncount.numeric import _newton, _orthant_step
 
 NET_61 = "A+B -> P\nB+C -> Q\nC -> 2A\n"
 
@@ -38,6 +42,17 @@ def _system_61(k3=0.5, k1=1.0, k2=1.0, inflow=1.0):
 
 def _flow_only(inflow=(1.0, 2.0, 3.0), outflow=(1.0, 0.5, 2.0)):
     return flow_system(FlowAugmentation(inflow, outflow))
+
+
+def _vec(c, *entries):
+    """The (..., n) value at the points c (shape (..., n)) of the NumericSystem
+    evaluator contract, from scalars or arrays over c's leading axes."""
+    return np.stack([np.broadcast_to(e, c.shape[:-1]) for e in entries], axis=-1)
+
+
+def _mat(c, *rows):
+    """The (..., n, n) Jacobian value at the points c, from rows of entries."""
+    return np.stack([_vec(c, *row) for row in rows], axis=-2)
 
 
 def _finite_difference_jacobian(f, c, scale=1e-6):
@@ -119,7 +134,7 @@ def test_newton_thron_closed_form():
 
 def test_newton_singular_jacobian_reported():
     # rootless parabola whose Jacobian vanishes at the start point
-    sys = NumericSystem(1, f=lambda c: np.array([(c[0] - 1.0) ** 2 + 1.0]), jac=lambda c: np.array([[2 * (c[0] - 1.0)]]))
+    sys = NumericSystem(1, f=lambda c: _vec(c, (c[..., 0] - 1.0) ** 2 + 1.0), jac=lambda c: _mat(c, [2 * (c[..., 0] - 1.0)]))
     res = newton_solve(sys, [1.0])
     assert not res.converged
     assert res.status == "singular-jacobian"
@@ -132,10 +147,152 @@ def test_newton_requires_positive_start():
 
 def test_newton_stays_in_orthant():
     # root at 0.01; large start forces damped steps that must not cross 0
-    sys = NumericSystem(1, f=lambda c: np.array([np.log(c[0] / 0.01)]), jac=lambda c: np.array([[1 / c[0]]]))
+    sys = NumericSystem(1, f=lambda c: _vec(c, np.log(c[..., 0] / 0.01)), jac=lambda c: _mat(c, [1 / c[..., 0]]))
     res = newton_solve(sys, [50.0])
     assert res.converged
     assert res.point[0] == pytest.approx(0.01, rel=1e-8)
+
+
+# --- lockstep Newton ----------------------------------------------------------
+
+# bench/workloads.plant_witness: the first draw of the acceptance box whose
+# example-6.1 cubic has three positive roots.
+PLANTED_61 = {
+    "k": {"A+B->P": 34.92352548238317, "B+C->Q": 535.3181054699224, "C->2A": 268.3785217473073},
+    "inflow": {"A": 0.1760964527220542, "B": 23.27267744456192, "P": 1.0, "C": 15.143039485949508, "Q": 1.0},
+}
+# The benchmark's "slow" mapk-cube rate set, on which most Newton starts crawl.
+CUBE_SLOW = [2.92, 0.32, 0.24, 0.44, 0.15, 7.43, 0.54, 0.22, 0.10, 0.13, 0.27, 0.68, 1.6, 9.16]
+
+
+def _serial_newton(sys, x0, tol):
+    """The one-start damped Newton loop that the lockstep kernel replaced,
+    kept as its reference: (status, iterations, point or None)."""
+    x = np.array(x0, dtype=float)
+    fx = sys.f(x)
+    r = float(np.linalg.norm(fx))
+    if not np.isfinite(r):
+        return "non-finite", 0, None
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        if r <= tol:
+            return "converged", it - 1, x
+        try:
+            step = np.linalg.solve(sys.jac(x), -fx)
+        except np.linalg.LinAlgError:
+            return "singular-jacobian", it - 1, None
+        if not np.all(np.isfinite(step)):
+            return "singular-jacobian", it - 1, None
+        negative = step < 0
+        alpha = min(1.0, 0.95 * float(np.min(x[negative] / -step[negative]))) if np.any(negative) else 1.0
+        while alpha > 1e-13:
+            f_new = sys.f(x + alpha * step)
+            r_new = float(np.linalg.norm(f_new))
+            if np.isfinite(r_new) and r_new < r:
+                x, fx, r = x + alpha * step, f_new, r_new
+                break
+            alpha *= 0.5
+        else:
+            return "no-descent", it, None
+        if np.any(np.abs(x) > 1e14):
+            return "diverged", it, None
+    return ("converged", NEWTON_MAX_ITER, x) if r <= tol else ("max-iterations", NEWTON_MAX_ITER, None)
+
+
+def _batch_case(name):
+    """A system and the domain its 240 lockstep test starts are drawn from."""
+    if name == "planted-6.1":
+        net = fixture_network("example-6.1")
+        flows = FlowAugmentation(tuple(PLANTED_61["inflow"][s] for s in net.names), (1.0,) * net.n)
+        return numeric_system_from_network(net, PLANTED_61["k"], flows), default_domain(conserved_mass_vector(net), flows)
+    if name == "cube-slow":
+        v = CUBE_SLOW
+        return mapk_cube(v[0:3], v[3:6], v[6:9], v[9:12], v[12], v[13]), unit_cube()
+    net = fixture_network("ctf06-4")
+    rng = np.random.default_rng(6)
+    flows = FlowAugmentation.uniform(net.n)
+    k = {r.label: 10 ** rng.uniform(-1, 1) for r in net.reactions}
+    return numeric_system_from_network(net, k, flows), default_domain(conserved_mass_vector(net), flows)
+
+
+@pytest.mark.parametrize("name", ["planted-6.1", "cube-slow", "ctf06-4"])
+def test_lockstep_newton_matches_one_start_runs(name):
+    # Every start ends as it does alone: the same status and iteration count
+    # from the batch, from newton_solve and from the serial reference loop.
+    # Converged points agree to 1e-12 relative; for n >= 7 the stacked
+    # evaluators sum in another order and differ in the last bits.
+    sys, domain = _batch_case(name)
+    X = domain.sample_interior(240, seed=17)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = [_serial_newton(sys, x0, COUNT_TOL) for x0 in X]
+    points, residuals, statuses, iterations = _newton(sys, X, COUNT_TOL)
+    assert len(set(statuses)) >= 2  # the batch mixes converged and failed starts
+    for i, x0 in enumerate(X):
+        solo = newton_solve(sys, x0, tol=COUNT_TOL)
+        status, its, point = reference[i]
+        assert (statuses[i], iterations[i]) == (solo.status, solo.iterations) == (status, its), i
+        assert solo.converged == (status == "converged")
+        if solo.converged:
+            assert residuals[i] <= COUNT_TOL
+            np.testing.assert_allclose(points[i], solo.point, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(points[i], point, rtol=1e-12, atol=0)
+
+
+def test_lockstep_newton_isolates_a_singular_row():
+    # f_0 = (c_0 - 1)^2 - 1/4 has roots 1/2 and 3/2, and its derivative
+    # vanishes at c_0 = 1: the middle start's Jacobian is singular, which
+    # makes the stacked solve raise for the whole batch.
+    sys = NumericSystem(
+        2,
+        f=lambda c: _vec(c, (c[..., 0] - 1.0) ** 2 - 0.25, c[..., 1] - 2.0),
+        jac=lambda c: _mat(c, [2 * (c[..., 0] - 1.0), 0.0], [0.0, 1.0]),
+    )
+    X = np.array([[2.0, 1.0], [1.0, 3.0], [0.2, 5.0]])
+    points, residuals, statuses, iterations = _newton(sys, X, COUNT_TOL)
+    assert statuses[1] == "singular-jacobian" and iterations[1] == 0
+    assert residuals[1] == pytest.approx(np.hypot(0.25, 1.0))
+    for i, root in ((0, [1.5, 2.0]), (2, [0.5, 2.0])):
+        solo = newton_solve(sys, X[i], tol=COUNT_TOL)
+        assert solo.converged and (statuses[i], iterations[i]) == ("converged", solo.iterations)
+        assert np.array_equal(points[i], solo.point)
+        np.testing.assert_allclose(points[i], root)
+
+
+def test_lockstep_newton_rejects_a_pointwise_evaluator():
+    # f written for one point, c[0] being its first coordinate, returns the
+    # wrong shape on a stack of starts and must not be misread.
+    sys = NumericSystem(1, f=lambda c: np.array([(c[0] - 1.0) * (c[0] - 3.0)]), jac=lambda c: np.array([[2 * c[0] - 4.0]]))
+    with pytest.raises(ValueError, match=r"maps \(P, n\) = \(30, 1\) to \(1, 1\)"):
+        count_equilibria(sys, MassDomain([1.0], [1.0], 10.0), starts=30, seed=0)
+
+
+def test_orthant_step_is_row_wise_and_ignores_zero_components():
+    # A zero or positive step component crosses no plane and divides nothing.
+    x = np.array([[1.0, 2.0], [1.0, 1.0], [4.0, 1.0]])
+    step = np.array([[0.0, -4.0], [0.0, 0.0], [-2.0, 3.0]])
+    assert _orthant_step(x, step).tolist() == [0.475, 1.0, 1.0]
+    assert _orthant_step(x[0], step[0]) == 0.475
+
+
+def test_evaluators_map_stacks_row_by_row():
+    # The NumericSystem contract: f maps (..., n) to (..., n) and jac to
+    # (..., n, n), each point as if evaluated alone.
+    rng = np.random.default_rng(8)
+    net = fixture_network("ctf06-4")
+    network = numeric_system_from_network(net, {r.label: 10 ** rng.uniform(-1, 1) for r in net.reactions},
+                                          FlowAugmentation.uniform(net.n))
+    cases = [
+        (network, rng.uniform(0.1, 3.0, (6, net.n))),
+        (_flow_only(), rng.uniform(0.1, 3.0, (6, 3))),
+        (thron_cascade(10 ** rng.uniform(-1, 1, 6), 0.7), rng.uniform(0.1, 250.0, (6, 3))),
+        (mapk_cube(*(10 ** rng.uniform(-1, 1, 3) for _ in range(4)), 1.3, 0.8), rng.uniform(0.05, 0.95, (6, 3))),
+    ]
+    for sys, X in cases:
+        evaluators = [sys.f, sys.jac] + ([sys.g, lambda c: sys.f_lambda(c, 0.5)] if sys.g else [])
+        for evaluate in evaluators:
+            rows = np.array([evaluate(x) for x in X])
+            stacked = evaluate(X.reshape(2, 3, sys.n))
+            assert stacked.shape == (2, 3) + rows.shape[1:]
+            np.testing.assert_allclose(stacked.reshape(rows.shape), rows, rtol=1e-13, atol=1e-13 * np.abs(rows).max())
 
 
 # --- count_equilibria -------------------------------------------------------
@@ -170,13 +327,14 @@ def test_count_expect_unique_violation():
     # two-root scalar system: f = (c-1)(c-3) has roots 1, 3 inside the domain
     sys = NumericSystem(
         1,
-        f=lambda c: np.array([(c[0] - 1.0) * (c[0] - 3.0)]),
-        jac=lambda c: np.array([[2 * c[0] - 4.0]]),
+        f=lambda c: _vec(c, (c[..., 0] - 1.0) * (c[..., 0] - 3.0)),
+        jac=lambda c: _mat(c, [2 * c[..., 0] - 4.0]),
     )
     dom = MassDomain([1.0], [1.0], 10.0)
     rep = count_equilibria(sys, dom, starts=30, seed=0)
     assert rep.count == 2
     assert rep.degree_estimate == 0
+    assert rep.newton_statuses == {"converged": 30}
     with pytest.raises(UniqueEquilibriumError, match=r"found 2; Newton starts: converged 30$"):
         count_equilibria(sys, dom, starts=30, seed=0, expect_unique=True)
 
@@ -279,9 +437,9 @@ def test_homotopy_aborts_when_path_leaves_domain():
     n = 1
     sys = NumericSystem(
         n,
-        f=lambda c: np.array([1.0 - c[0] + 5.0]),
-        jac=lambda c: np.array([[-1.0]]),
-        g=lambda c: np.array([5.0]),
+        f=lambda c: _vec(c, 1.0 - c[..., 0] + 5.0),
+        jac=lambda c: _mat(c, [-1.0]),
+        g=lambda c: _vec(c, 5.0),
         c_in=np.array([1.0]),
         outflow=np.array([1.0]),
     )
@@ -294,9 +452,9 @@ def test_homotopy_stalls_at_fold():
     # f_lambda = 1 - c + lambda c^2 loses its real root past lambda = 1/4
     sys = NumericSystem(
         1,
-        f=lambda c: np.array([1.0 - c[0] + c[0] ** 2]),
-        jac=lambda c: np.array([[-1.0 + 2 * c[0]]]),
-        g=lambda c: np.array([c[0] ** 2]),
+        f=lambda c: _vec(c, 1.0 - c[..., 0] + c[..., 0] ** 2),
+        jac=lambda c: _mat(c, [-1.0 + 2 * c[..., 0]]),
+        g=lambda c: _vec(c, c[..., 0] ** 2),
         c_in=np.array([1.0]),
         outflow=np.array([1.0]),
     )
@@ -334,9 +492,9 @@ def test_boundary_audit_detects_planted_violation():
     n = 2
     sys = NumericSystem(
         n,
-        f=lambda c: np.array([1.0, 1.0]) - c + np.array([-3.0, 0.0]),
-        jac=lambda c: -np.eye(2),
-        g=lambda c: np.array([-3.0, 0.0]),
+        f=lambda c: _vec(c, 1.0 - c[..., 0] - 3.0, 1.0 - c[..., 1]),
+        jac=lambda c: _mat(c, [-1.0, 0.0], [0.0, -1.0]),
+        g=lambda c: _vec(c, -3.0, 0.0),
         c_in=np.array([1.0, 1.0]),
         outflow=np.array([1.0, 1.0]),
     )
@@ -346,14 +504,34 @@ def test_boundary_audit_detects_planted_violation():
     assert any(v["face"] == "c[0]=0" for v in audit.violations)
 
 
+def test_boundary_audit_lists_violations_point_by_point():
+    # The pointwise loop that the array audit replaced is the reference:
+    # faces in turn, each sampled point at every lambda, and a margin that
+    # is not > 0 a violation.  Side c_0 = 0 fails from lambda = 1/3 on.
+    flows = FlowAugmentation.uniform(2)
+    sys = flow_system(flows, g=lambda c: _vec(c, -3.0, 0.0), jac_g=lambda c: _mat(c, [0.0, 0.0], [0.0, 0.0]))
+    dom = make_domain([1.0, 1.0], flows, 21.0)
+    faces = [(f"c[{j}]=0", dom.sample_side(j, 50, seed=j + 1), lambda fc, j=j: fc[j]) for j in range(2)]
+    faces.append(("outer", dom.sample_outer(100, seed=0), lambda fc: -(dom.m @ fc)))
+    reference = []
+    for face, points, margin in faces:
+        for c in points:
+            for lam in LAMBDA_GRID:
+                value = float(margin(sys.f_lambda(c, lam)))
+                if not value > 0:
+                    reference.append({"face": face, "lambda": lam, "c": list(c), "margin": value})
+    assert len(reference) == 150 and {v["lambda"] for v in reference} == {0.5, 0.75, 1.0}
+    assert boundary_audit(sys, dom, samples=200, seed=0).violations == reference
+
+
 def test_box_audit_reports_planted_violations():
     # f = (1 - c_1) * (c_0 - 1/2, 1) on the unit square: f_0 < 0 on the
     # lower face c_0 = 0 and f = 0 on the whole upper face c_1 = 1; the
     # faces c_1 = 0 and c_0 = 1 are clean.
     sys = NumericSystem(
         2,
-        f=lambda c: (1.0 - c[1]) * np.array([c[0] - 0.5, 1.0]),
-        jac=lambda c: np.array([[1.0 - c[1], 0.5 - c[0]], [0.0, -1.0]]),
+        f=lambda c: _vec(c, (1.0 - c[..., 1]) * (c[..., 0] - 0.5), 1.0 - c[..., 1]),
+        jac=lambda c: _mat(c, [1.0 - c[..., 1], 0.5 - c[..., 0]], [0.0, -1.0]),
     )
     audit = box_audit(sys, BoxDomain([0.0, 0.0], [1.0, 1.0]), samples=40, seed=0)
     assert not audit.clean and audit.samples == 40
