@@ -97,7 +97,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _max_dim() -> int:
     value = os.environ.get("CRN_MAX_SPECIES")
-    return int(value) if value else DEFAULT_MAX_DETERMINANT_DIM
+    if not value:
+        return DEFAULT_MAX_DETERMINANT_DIM
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"CRN_MAX_SPECIES must be an integer >= 1, got {value!r}")
+    return cap
 
 
 def _load_network(args):

@@ -299,7 +299,10 @@ def determinant_expand(matrix: Sequence[Sequence[Polynomial]], max_dim: int = DE
     """Fully expanded determinant of a square polynomial matrix.
 
     Laplace expansion with dynamic programming over column subsets
-    (2^n states), exact integer arithmetic throughout.
+    (2^n states), exact integer arithmetic throughout.  Inside the
+    expansion each monomial is a packed exponent vector, one int with a
+    bit field per indeterminate (Monagan & Pearce, CASC 2007), so a
+    monomial product is one integer addition.
 
     Raises:
         ValueError: on a non-square or empty matrix.
@@ -311,16 +314,20 @@ def determinant_expand(matrix: Sequence[Sequence[Polynomial]], max_dim: int = DE
     if n > max_dim:
         raise DeterminantSizeError(f"matrix dimension {n} exceeds expansion cap {max_dim}")
 
+    fields = _exponent_fields(matrix)
+    shifts = {x: shift for x, shift, _ in fields}
+    row_terms = [
+        [{sum(e << shifts[x] for x, e in m): c for m, c in entry.terms.items()} for entry in row] for row in matrix
+    ]
     # Rows with fewer nonzero entries first keeps intermediate minors small.
-    row_terms = [[row[j].terms for j in range(n)] for row in matrix]
     order = sorted(range(n), key=lambda i: sum(1 for t in row_terms[i] if t))
     parity = _permutation_sign(order)
 
-    # level[mask] = raw term map of the minor using the first k ordered rows
-    # and the columns in mask.
-    level: Dict[int, Dict[Monomial, int]] = {0: {ONE: 1}}
+    # level[mask] = packed term map of the minor using the first k ordered
+    # rows and the columns in mask.
+    level: Dict[int, Dict[int, int]] = {0: {0: 1}}
     for k, i in enumerate(order):
-        nxt: Dict[int, Dict[Monomial, int]] = {}
+        nxt: Dict[int, Dict[int, int]] = {}
         for mask, minor in level.items():
             below = 0
             for j in range(n):
@@ -338,16 +345,55 @@ def determinant_expand(matrix: Sequence[Sequence[Polynomial]], max_dim: int = DE
                 for m1, c1 in entry.items():
                     c1s = c1 * sign
                     for m2, c2 in minor.items():
-                        m = mono_mul(m1, m2)
+                        m = m1 + m2
                         s = acc.get(m, 0) + c1s * c2
                         if s:
                             acc[m] = s
                         else:
                             del acc[m]
         level = {mask: terms for mask, terms in nxt.items() if terms}
-    full = (1 << n) - 1
-    det = Polynomial(level.get(full, {}))
-    return det * parity if parity < 0 else det
+
+    # Decode to canonical monomials, sharing one (x, e) pair object per
+    # field and exponent: a fresh pair per term would raise peak memory.
+    decode = [(x, shift, ones, {}) for x, shift, ones in fields]
+    det: Dict[Monomial, int] = {}
+    for packed, c in level.get((1 << n) - 1, {}).items():
+        mono = []
+        for x, shift, ones, pairs in decode:
+            e = (packed >> shift) & ones
+            if e:
+                mono.append(pairs.setdefault(e, (x, e)))
+        det[tuple(mono)] = c * parity
+    p = Polynomial.__new__(Polynomial)
+    p.terms = det
+    return p
+
+
+def _exponent_fields(matrix: Sequence[Sequence[Polynomial]]) -> List[Tuple[Indeterminate, int, int]]:
+    """(indeterminate, shift, field of ones) of each bit field, in canonical order.
+
+    A product of one entry per row raises x to at most the sum over rows
+    of x's largest exponent in that row; the field is that bound's bit
+    length wide, so no exponent in the expansion carries into the next
+    field.
+    """
+    bound: Dict[Indeterminate, int] = {}
+    for row in matrix:
+        row_max: Dict[Indeterminate, int] = {}
+        for entry in row:
+            for m in entry.terms:
+                for x, e in m:
+                    if e > row_max.get(x, 0):
+                        row_max[x] = e
+        for x, e in row_max.items():
+            bound[x] = bound.get(x, 0) + e
+    fields = []
+    shift = 0
+    for x in sorted(bound):
+        width = bound[x].bit_length()
+        fields.append((x, shift, (1 << width) - 1))
+        shift += width
+    return fields
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:

@@ -113,6 +113,13 @@ def test_census_max_species_env_cap(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, "census", "--fixture", "example-6.1")
     assert code == 1
     assert "exceeds expansion cap" in err
+    rates = ["--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=0.5"]
+    for value in ("abc", "0", "-3", "2.5"):
+        monkeypatch.setenv("CRN_MAX_SPECIES", value)
+        for argv in (["census"], ["count", *rates]):
+            code, out, err = _run(capsys, *argv, "--fixture", "example-6.1")
+            assert (code, out) == (1, ""), (value, argv[0])
+            assert err == f"error: CRN_MAX_SPECIES must be an integer >= 1, got {value!r}\n"
 
 
 def test_conserve_fixture_and_candidate(capsys):

@@ -1,16 +1,31 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crncount.dsl import parse_network
+from crncount.fixtures import NETWORK_FIXTURES, fixture_network
+from crncount.jacobian import (
+    SYMBOLIC_OUTFLOW,
+    UNIT_OUTFLOW,
+    augmented_mass_action_jacobian,
+    build_general_jacobian,
+    outflow_constant,
+)
+from crncount.network import with_general_kinetics
 from crncount.polynomial import (
     DeterminantSizeError,
     Polynomial,
+    _exponent_fields,
+    _permutation_sign,
     concentration,
     determinant_expand,
     differentiate,
     evaluate,
     kinetic_partial,
+    mono_mul,
     mono_sign,
     rate_constant,
     substitute,
@@ -123,7 +138,9 @@ def test_determinant_matches_numeric_lu_up_to_7x7():
         for _ in range(8):
             M = _random_poly_matrix(rng, n, variables)
             values = {v: float(rng.uniform(0.1, 2.0)) for v in variables}
-            sym = evaluate(determinant_expand(M), values)
+            det = determinant_expand(M)
+            assert det.terms == _reference_expand(M).terms
+            sym = evaluate(det, values)
             num = np.linalg.det(np.array([[evaluate(e, values) for e in row] for row in M]))
             assert sym == pytest.approx(num, rel=1e-9, abs=1e-9)
 
@@ -195,3 +212,165 @@ def test_ring_axioms(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+def _reference_expand(matrix):
+    """The subset-DP Laplace expansion on tuple monomials (mono_mul), the
+    form determinant_expand took before its packed-integer kernel."""
+    n = len(matrix)
+    row_terms = [[row[j].terms for j in range(n)] for row in matrix]
+    order = sorted(range(n), key=lambda i: sum(1 for t in row_terms[i] if t))
+    level = {0: {(): 1}}
+    for k, i in enumerate(order):
+        nxt = {}
+        for mask, minor in level.items():
+            below = 0
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    below += 1
+                    continue
+                entry = row_terms[i][j]
+                if not entry:
+                    continue
+                sign = -1 if (k + below) & 1 else 1
+                acc = nxt.setdefault(mask | bit, {})
+                for m1, c1 in entry.items():
+                    c1s = c1 * sign
+                    for m2, c2 in minor.items():
+                        m = mono_mul(m1, m2)
+                        s = acc.get(m, 0) + c1s * c2
+                        if s:
+                            acc[m] = s
+                        else:
+                            del acc[m]
+        level = {mask: terms for mask, terms in nxt.items() if terms}
+    return Polynomial(level.get((1 << n) - 1, {})) * _permutation_sign(order)
+
+
+def _ring(n):
+    """Table-1 ring family on n = 2p - 1 species: S_i+S_{i+1} <-> X_i, S_p <-> 2S_1."""
+    pairs = (n + 1) // 2
+    lines = [f"S{i}+S{i + 1} <-> X{i}" for i in range(1, pairs)] + [f"S{pairs} <-> 2S1"]
+    return parse_network("\n".join(lines))
+
+
+def _jacobian(net, kinetics, outflow):
+    if kinetics == "general":
+        return build_general_jacobian(with_general_kinetics(net), outflow=outflow)
+    return augmented_mass_action_jacobian(net, outflow=outflow)
+
+
+BOTH_OUTFLOWS = (UNIT_OUTFLOW, SYMBOLIC_OUTFLOW)
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK_FIXTURES))
+def test_determinant_matches_reference_on_fixtures(name):
+    net = fixture_network(name)
+    for kinetics in ("mass-action", "general"):
+        for outflow in BOTH_OUTFLOWS:
+            J = _jacobian(net, kinetics, outflow)
+            assert determinant_expand(J).terms == _reference_expand(J).terms, (kinetics, outflow)
+
+
+# The ring family on n = 5, 7, 9 species is fixtures table1-i, ii, iii, which
+# the fixture test runs in every variant.  Above them: the census benchmark's
+# n=11 variants (mass-action only) and ring 13 at unit outflow.
+@pytest.mark.parametrize("n, outflow", [(11, UNIT_OUTFLOW), (11, SYMBOLIC_OUTFLOW), (13, UNIT_OUTFLOW)])
+def test_determinant_matches_reference_on_ring_family(n, outflow):
+    J = augmented_mass_action_jacobian(_ring(n), outflow=outflow)
+    assert determinant_expand(J).terms == _reference_expand(J).terms
+
+
+def _power(x, e):
+    return Polynomial.term(1, ((x, e),))
+
+
+@pytest.mark.parametrize("second_row_x, width", [(3, 3), (4, 4)])
+def test_exponent_field_holds_its_bound_without_carry(second_row_x, width):
+    # x's bound is 4 + second_row_x: 7 = 2^3 - 1 fills a 3-bit field, 8 = 2^3
+    # needs 4 bits.  y sits in the next field, where a carry out of x^7 or
+    # x^8 would land.
+    M = [
+        [_power(X, 4) + PV(Y), PV(X) * PV(Y)],
+        [_power(X, second_row_x) * PV(Y), _power(X, second_row_x) + PV(Y)],
+    ]
+    assert [(x, ones.bit_length()) for x, _, ones in _exponent_fields(M)] == [(X, width), (Y, 2)]
+    det = determinant_expand(M)
+    assert det.terms == _reference_expand(M).terms
+    assert det == M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    assert det.terms[((X, 4 + second_row_x),)] == 1
+
+
+def test_exponent_fields_widen_for_huge_exponents():
+    big = 2**40
+    assert determinant_expand([[_power(X, big)]]) == _power(X, big)
+    M = [[_power(X, big), PV(Y)], [PV(Y), _power(X, big) * PV(Y)]]
+    det = determinant_expand(M)
+    assert det.terms == _reference_expand(M).terms
+    assert det == _power(X, 2 * big) * PV(Y) - PV(Y) * PV(Y)
+
+
+def _int_det(rows):
+    """Exact determinant of a small integer matrix (Bareiss elimination)."""
+    a = [list(row) for row in rows]
+    k = len(a)
+    sign, prev = 1, 1
+    for i in range(k - 1):
+        if not a[i][i]:
+            swap = next((r for r in range(i + 1, k) if a[r][i]), None)
+            if swap is None:
+                return 0
+            a[i], a[swap] = a[swap], a[i]
+            sign = -sign
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+        prev = a[i][i]
+    return sign * a[-1][-1] if k else 1
+
+
+def _cauchy_binet(net, outflow):
+    """det(N diag(k c^Y) Y diag(1/c) - diag(outflow)) summed term by term.
+
+    Expanding along the outflow diagonal and then by Cauchy-Binet gives
+    one monomial per species subset S and reaction subset R, |R| = |S|:
+    (-1)^(n-|S|) det N[S,R] det Y[R,S] prod_{r in R} k_r c^{y_r} / prod_{s in S} c_s,
+    times prod_{j not in S} k[j->0] under symbolic outflow.
+    """
+    n = net.n
+    conc = [concentration(i, net.names[i]) for i in range(n)]
+    N = [r.reaction_vector(n) for r in net.reactions]  # N[r][s]
+    Y = [dict(r.source.coeffs) for r in net.reactions]  # Y[r][s]
+    terms = {}
+    for size in range(n + 1):
+        for S in combinations(range(n), size):
+            live = [r for r in range(len(N)) if any(N[r][s] for s in S) and any(s in Y[r] for s in S)]
+            for R in combinations(live, size):
+                coeff = _int_det([[N[r][s] for r in R] for s in S])
+                if coeff:
+                    coeff *= _int_det([[Y[r].get(s, 0) for s in S] for r in R])
+                if not coeff:
+                    continue
+                exps = {}
+                for r in R:
+                    exps[rate_constant(net.reactions[r].label)] = 1
+                    for s, e in Y[r].items():
+                        exps[conc[s]] = exps.get(conc[s], 0) + e
+                for s in S:
+                    exps[conc[s]] -= 1
+                if outflow == SYMBOLIC_OUTFLOW:
+                    for j in set(range(n)) - set(S):
+                        exps[outflow_constant(net.names[j])] = 1
+                mono = tuple(sorted((x, e) for x, e in exps.items() if e))
+                terms[mono] = terms.get(mono, 0) + (-1) ** (n - size) * coeff
+    return {m: c for m, c in terms.items() if c}
+
+
+# Every network fixture is mass-action; table1-i, ii, iii are the rings n=5, 7, 9.
+@pytest.mark.parametrize("name", sorted(NETWORK_FIXTURES))
+def test_determinant_matches_cauchy_binet(name):
+    net = fixture_network(name)
+    for outflow in BOTH_OUTFLOWS:
+        J = augmented_mass_action_jacobian(net, outflow=outflow)
+        assert determinant_expand(J).terms == _cauchy_binet(net, outflow), outflow
