@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,7 +71,11 @@ class NumericSystem:
         return self.c_in - self.outflow * c + lam * self.g(c)
 
     def jac_lambda(self, c: np.ndarray, lam: float) -> np.ndarray:
-        return lam * (self.jac(c) + np.diag(self.outflow)) - np.diag(self.outflow)
+        return lam * (self.jac(c) + self._outflow_diag) - self._outflow_diag
+
+    @cached_property
+    def _outflow_diag(self) -> np.ndarray:
+        return np.diag(self.outflow)
 
     def _require_flows(self):
         if self.g is None or self.c_in is None or self.outflow is None:
@@ -86,6 +91,7 @@ def flow_system(flows: FlowAugmentation, g=None, jac_g=None, provenance: str = "
     """
     c_in = np.array(flows.inflow)
     outflow = np.array(flows.outflow)
+    outflow_diag = np.diag(outflow)
     n = len(c_in)
     if g is None:
         g = lambda c: np.zeros(np.shape(c))
@@ -95,7 +101,7 @@ def flow_system(flows: FlowAugmentation, g=None, jac_g=None, provenance: str = "
         return c_in - outflow * c + g(c)
 
     def jac(c: np.ndarray) -> np.ndarray:
-        return jac_g(c) - np.diag(outflow)
+        return jac_g(c) - outflow_diag
 
     return NumericSystem(n, f, jac, g=g, c_in=c_in, outflow=outflow, provenance=provenance)
 
@@ -175,6 +181,13 @@ class MassDomain:
             return np.all(c >= -slack, axis=-1) & (c @ self.weights <= self.bound + slack)
         return np.all(c > 0, axis=-1) & (c @ self.weights < self.bound)
 
+    def step_fraction(self, x: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """Step fraction alpha <= 1, one per row of x, that keeps x + alpha*step
+        in the open domain: 0.95 of the way to the nearest coordinate plane
+        or outer plane m.(outflow*c) = M that the step would cross."""
+        outer = _crossing(self.bound - x @ self.weights, step @ self.weights)
+        return _fraction(np.minimum(_crossing(x, -step).min(axis=-1), outer))
+
     def sample_interior(self, count: int, seed: int) -> np.ndarray:
         X = _simplex_points(self.n, count, seed, on_face=False)
         return X * (self.bound / self.weights)
@@ -211,6 +224,12 @@ class BoxDomain:
         if closed:
             return np.all((c >= self.lo - slack) & (c <= self.hi + slack), axis=-1)
         return np.all((c > self.lo) & (c < self.hi), axis=-1)
+
+    def step_fraction(self, x: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """Step fraction alpha <= 1, one per row of x, that keeps x + alpha*step
+        in the open box: 0.95 of the way to the nearest face the step would
+        cross."""
+        return _fraction(np.minimum(_crossing(x - self.lo, -step), _crossing(self.hi - x, step)).min(axis=-1))
 
     def sample_interior(self, count: int, seed: int) -> np.ndarray:
         u = _halton(self.n, count, seed)
@@ -312,19 +331,25 @@ NEWTON_MAX_ITER = 100
 
 def newton_solve(sys: NumericSystem, x0: Sequence[float], tol: float = 1e-10) -> NewtonResult:
     """Damped Newton iteration from the strictly positive start point x0:
-    the lockstep kernel ``_newton`` on one row, with its statuses."""
+    the lockstep kernel ``_newton`` on one row, confined to the open
+    positive orthant, with its statuses."""
     points, residuals, statuses, iterations = _newton(sys, [x0], tol)
     converged = statuses[0] == "converged"
     return NewtonResult(points[0] if converged else None, float(residuals[0]), converged, statuses[0], int(iterations[0]))
 
 
-def _newton(sys: NumericSystem, X, tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Newton iteration confined to the open positive orthant, run in
-    lockstep from every row of the (P, n) start array ``X``.
+def _newton(sys: NumericSystem, X, tol: float, domain=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton iteration confined to an open domain, run in lockstep
+    from every row of the (P, n) start array ``X``.
 
-    Each row steps as it would alone: its step is shortened to keep every
-    coordinate strictly positive, then halved until its residual norm
-    decreases, in one halving loop shared by the rows still searching.
+    The domain is ``domain`` (a MassDomain or BoxDomain, whose
+    ``step_fraction`` shortens each step), or the open positive orthant
+    when it is None.  Each row steps as it would alone: its step is
+    shortened to keep it strictly inside the domain, then halved until its
+    residual norm decreases, in one halving loop shared by the rows still
+    searching, so every iterate, whatever its final status, lies in the
+    open domain.
+
     Returns (points, residuals, statuses, iterations), one entry per row;
     a point is a root only where its status is ``converged``.  The other
     statuses are ``non-finite`` (f overflows at the start),
@@ -337,6 +362,7 @@ def _newton(sys: NumericSystem, X, tol: float) -> Tuple[np.ndarray, np.ndarray, 
     X = np.array(X, dtype=float)
     if np.any(X <= 0):
         raise ValueError("start point must be strictly positive")
+    step_fraction = _orthant_step if domain is None else domain.step_fraction
     statuses = np.full(len(X), "", dtype=object)
     iterations = np.zeros(len(X), dtype=int)
 
@@ -362,7 +388,7 @@ def _newton(sys: NumericSystem, X, tol: float) -> Tuple[np.ndarray, np.ndarray, 
             end(live[singular], "singular-jacobian", it - 1)
             live, step = live[~singular], step[~singular]
             x, r = X[live], R[live]
-            alpha = _orthant_step(x, step)
+            alpha = step_fraction(x, step)
             accepted = np.zeros(len(live), dtype=bool)
             pending = np.flatnonzero(alpha > 1e-13)
             while pending.size:
@@ -407,8 +433,18 @@ def _orthant_step(x: np.ndarray, step: np.ndarray) -> np.ndarray:
     """Step fraction alpha <= 1, one per row of x, that keeps x + alpha*step
     strictly positive: 0.95 of the way to the nearest coordinate plane the
     step would cross."""
-    ratio = np.divide(x, -step, out=np.full(np.shape(x), np.inf), where=step < 0)
-    return np.minimum(1.0, 0.95 * ratio.min(axis=-1))
+    return _fraction(_crossing(x, -step).min(axis=-1))
+
+
+def _crossing(gap: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Step length gap/rate at which a face is reached, inf where the step
+    moves along it or away from it (rate <= 0), without dividing there."""
+    return np.divide(gap, rate, out=np.full(np.shape(gap), np.inf), where=rate > 0)
+
+
+def _fraction(distance: np.ndarray) -> np.ndarray:
+    """0.95 of the step length to the nearest face, capped at a full step."""
+    return np.minimum(1.0, 0.95 * distance)
 
 
 @dataclass
@@ -461,8 +497,10 @@ def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int, expect_
     """Multistart damped Newton census of equilibria inside a domain.
 
     Start points are Halton points mapped into the domain; Newton runs
-    from all of them at once to the residual COUNT_TOL; converged roots
-    outside the open domain are discarded; survivors are merged up to the
+    from all of them at once to the residual COUNT_TOL, every iterate kept
+    strictly inside the open domain (``domain.step_fraction``), so no start
+    can reach a root outside it; converged roots are filtered by
+    ``domain.contains`` only as a guard against rounding, merged up to the
     relative DEDUP_RADIUS and reported sorted lexicographically, with the
     sign of det(jac) at each root and their sum as the degree estimate.
 
@@ -472,7 +510,7 @@ def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int, expect_
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    points, residuals, statuses, _ = _newton(sys, domain.sample_interior(starts, seed), COUNT_TOL)
+    points, residuals, statuses, _ = _newton(sys, domain.sample_interior(starts, seed), COUNT_TOL, domain)
     converged = statuses == "converged"
     points, residuals = points[converged], residuals[converged]
     inside = domain.contains(points)

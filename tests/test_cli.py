@@ -420,6 +420,21 @@ def test_count_cube_face_signs_hold(capsys):
         report = json.loads(out)
         assert len(report["equilibria"]) == 1 and report["degree_estimate"] == -1
         assert report["boundary"]["violations"] == []
+        # Newton starts that wandered out of the cube crawled for the whole
+        # iteration budget (CUBE_SLOW ended 28 of 100 starts that way).
+        assert "max-iterations" not in report["newton_statuses"], draw
+
+
+def test_count_mapk_cube_newton_stays_in_the_cube(capsys):
+    # Newton starts left free in the orthant reached roots of the field's
+    # continuation outside the cube; at these rates every converged start
+    # did, and the certified run exited 1 with "found 0".
+    v = [1.39858, 0.146751, 2.87924, 0.681638, 7.72358, 0.109182, 0.684679, 0.94059, 4.59374,
+         0.023123, 0.296173, 0.0335811, 7.26609, 4.85598]
+    code, out, err = _run(capsys, "count", "--fixture", "mapk-cube", *_bindings(CUBE_KEYS, v))
+    assert code == 0, err
+    (equilibrium,) = json.loads(out)["equilibria"]
+    assert unit_cube().contains(np.array(equilibrium["c"]))
 
 
 def test_count_samples_no_boundary(monkeypatch, capsys):

@@ -273,6 +273,66 @@ def test_orthant_step_is_row_wise_and_ignores_zero_components():
     assert _orthant_step(x[0], step[0]) == 0.475
 
 
+def _assert_fraction_reaches_nearest_face(domain, x, step, alpha):
+    # x + alpha*step stays in the open domain; where the step is cut short,
+    # going a little past alpha/0.95 of it leaves the domain, so alpha is
+    # 0.95 of the way to the nearest face crossed.
+    assert domain.contains(x + alpha[:, None] * step).all()
+    short = alpha < 1
+    assert short.any() and not domain.contains(x[short] + (alpha[short] / 0.95 * (1 + 1e-9))[:, None] * step[short]).any()
+
+
+def test_mass_step_fraction_is_row_wise_and_stops_at_every_face():
+    # Weights m*outflow = (1, 1): the domain is {c > 0 : c0 + c1 < 4}.
+    domain = MassDomain([1.0, 2.0], [1.0, 0.5], 4.0)
+    x = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 0.5], [1.0, 1.0]])
+    step = np.array([[0.0, 0.0], [4.0, 0.0], [-4.0, 2.0], [4.0, -1.0]])
+    with np.errstate(all="raise"):  # zero components divide nothing
+        alpha = domain.step_fraction(x, step)
+        # none, the outer plane at 1/2, the side c0 = 0 at 3/4 (the step
+        # moves off the plane), the plane at 2/3 before the side at 1
+        np.testing.assert_allclose(alpha, [1.0, 0.475, 0.7125, 0.95 * 2 / 3], rtol=1e-15)
+        assert [domain.step_fraction(xi, si) for xi, si in zip(x, step)] == alpha.tolist()
+    rng = np.random.default_rng(41)
+    x = domain.sample_interior(500, seed=3)
+    step = rng.normal(size=x.shape) * 10 ** rng.uniform(-2, 2, (500, 1))
+    step[::5, 0] = 0.0
+    _assert_fraction_reaches_nearest_face(domain, x, step, domain.step_fraction(x, step))
+
+
+def test_box_step_fraction_is_row_wise_and_stops_at_every_face():
+    box = BoxDomain([0.0, 1.0], [2.0, 5.0])
+    x = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+    step = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, -2.0], [-4.0, 4.0]])
+    with np.errstate(all="raise"):  # zero components divide nothing
+        alpha = box.step_fraction(x, step)
+        # none, the upper face c0 = 2 at 1/2, the lower face c1 = 1 at 1/2,
+        # the lower face c0 = 0 at 1/4 before the upper face c1 = 5 at 3/4
+        assert alpha.tolist() == [1.0, 0.475, 0.475, 0.2375]
+        assert [box.step_fraction(xi, si) for xi, si in zip(x, step)] == alpha.tolist()
+    rng = np.random.default_rng(42)
+    x = box.sample_interior(500, seed=4)
+    step = rng.normal(size=x.shape) * 10 ** rng.uniform(-2, 2, (500, 1))
+    step[::5, 1] = 0.0
+    _assert_fraction_reaches_nearest_face(box, x, step, box.step_fraction(x, step))
+
+
+@pytest.mark.parametrize("name", ["cube-slow", "planted-6.1"])
+def test_newton_in_a_domain_ends_every_start_inside_it(name):
+    # Whatever its status, every start of the counting kernel ends strictly
+    # inside the counting domain.  On the cube, starts left free wander past
+    # c = 1 towards the drive term's pole and end max-iterations.
+    sys, domain = _batch_case(name)
+    X = domain.sample_interior(240, seed=17)
+    points, residuals, statuses, iterations = _newton(sys, X, COUNT_TOL, domain)
+    assert domain.contains(points).all()
+    if name == "cube-slow":
+        assert set(statuses) == {"converged"}
+        assert "max-iterations" in _newton(sys, X, COUNT_TOL)[2]
+    else:
+        assert len(set(statuses)) >= 2  # failed starts end inside too
+
+
 def test_evaluators_map_stacks_row_by_row():
     # The NumericSystem contract: f maps (..., n) to (..., n) and jac to
     # (..., n, n), each point as if evaluated alone.
