@@ -15,6 +15,8 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
+import numpy as np
+
 from . import fixtures
 from .conservation import check_mass_vector, conservation_report, conserved_mass_vector
 from .dsl import ParseError, parse_network
@@ -30,7 +32,9 @@ from .jacobian import (
 )
 from .network import FlowAugmentation, MassAction, NetworkError, with_general_kinetics
 from .numeric import (
+    CORRECTOR_TOL,
     PathTrackingError,
+    UniqueEquilibriumError,
     count_equilibria,
     default_domain,
     flow_system,
@@ -88,9 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     count.add_argument("--k", action="append", default=[], metavar="NAME=VALUE", help="rate constant or fixture parameter binding")
     count.add_argument("--mass", help="dissipating mass vector override (comma-separated)")
     count.add_argument("--flow-only", action="store_true", help="no reactions beyond the flows themselves")
-    count.add_argument("--starts", type=int, default=100)
-    count.add_argument("--seed", type=int, default=0)
-    count.add_argument("--domain-mult", type=float, help="M = R * m.c_in (default 10)")
+    count.add_argument("--starts", type=int, default=100, help="Newton starts of an uncertified or cascade run")
+    count.add_argument("--seed", type=int, default=0, help="seed of those starts")
     count.set_defaults(handler=_cmd_count)
     return parser
 
@@ -198,61 +201,90 @@ def _cmd_count(args):
     if args.flow_only and (args.file or args.fixture or args.k or args.mass):
         raise ValueError("--flow-only takes no network file, --fixture, --k or --mass")
     cascade = args.fixture in fixtures.NUMERIC_FIXTURES
-    census_block, certified = None, True
     if cascade:
         sys_, domain = _cascade_system(args)
-        domain_block = {"box_lo": list(domain.lo), "box_hi": list(domain.hi)}
+        report_eq = count_equilibria(sys_, domain, starts=args.starts, seed=args.seed, expect_unique=True)
+        report = {
+            "domain": {"box_lo": list(domain.lo), "box_hi": list(domain.hi)},
+            **report_eq.to_dict(),
+            "boundary": {"certified": True, "argument": _CASCADE_ARGUMENTS[args.fixture], "violations": []},
+            "fixture": args.fixture,
+        }
+        return report, EXIT_OK
+    census_block, certified = None, True
+    inflow = "1" if args.inflow is None else args.inflow
+    outflow = "1" if args.outflow is None else args.outflow
+    if args.flow_only:
+        n = max(len([p for p in inflow.split(",") if p]), len([p for p in outflow.split(",") if p]))
+        flows = FlowAugmentation(_parse_vector(inflow, n, "inflow"), _parse_vector(outflow, n, "outflow"))
+        sys_ = flow_system(flows)
+        m_floats = [1.0] * n
     else:
-        inflow = "1" if args.inflow is None else args.inflow
-        outflow = "1" if args.outflow is None else args.outflow
-        if args.flow_only:
-            n = max(len([p for p in inflow.split(",") if p]), len([p for p in outflow.split(",") if p]))
-            flows = FlowAugmentation(_parse_vector(inflow, n, "inflow"), _parse_vector(outflow, n, "outflow"))
-            sys_ = flow_system(flows)
-            m_floats = [1.0] * n
+        net = _load_network(args)
+        _require_mass_action(net, "count")
+        flows = FlowAugmentation(_parse_vector(inflow, net.n, "inflow"), _parse_vector(outflow, net.n, "outflow"))
+        bindings = _parse_bindings(args.k)
+        # A rate fixed by k= in the file wins over --k, so binding it would be ignored.
+        free = {r.label for r in net.reactions if r.kinetics.value is None}
+        unknown = set(bindings) - free
+        if unknown:
+            raise ValueError(f"--k names no rate constant left unbound by the network: {', '.join(sorted(unknown))}")
+        sys_ = numeric_system_from_network(net, bindings, flows)
+        if args.mass:
+            m = [Fraction(p) for p in args.mass.split(",")]
+            verdict = check_mass_vector(net, m)
+            if verdict.value == "neither":
+                raise NetworkError("--mass vector is neither conserved nor dissipating for this network")
+            m_floats = [float(x) for x in m]
         else:
-            net = _load_network(args)
-            _require_mass_action(net, "count")
-            flows = FlowAugmentation(_parse_vector(inflow, net.n, "inflow"), _parse_vector(outflow, net.n, "outflow"))
-            bindings = _parse_bindings(args.k)
-            # A rate fixed by k= in the file wins over --k, so binding it would be ignored.
-            free = {r.label for r in net.reactions if r.kinetics.value is None}
-            unknown = set(bindings) - free
-            if unknown:
-                raise ValueError(f"--k names no rate constant left unbound by the network: {', '.join(sorted(unknown))}")
-            sys_ = numeric_system_from_network(net, bindings, flows)
-            if args.mass:
-                m = [Fraction(p) for p in args.mass.split(",")]
-                verdict = check_mass_vector(net, m)
-                if verdict.value == "neither":
-                    raise NetworkError("--mass vector is neither conserved nor dissipating for this network")
-                m_floats = [float(x) for x in m]
-            else:
-                mv = conserved_mass_vector(net)
-                if mv is None:
-                    raise NetworkError("network is not conservative; supply a dissipating --mass vector")
-                m_floats = list(mv.as_floats())
-            census_block, certified = _count_census(net, bindings, flows)
-        domain = default_domain(m_floats, flows, 10.0 if args.domain_mult is None else args.domain_mult)
-        domain_block = {"m": m_floats, "M": domain.bound, "outflow": list(flows.outflow)}
-
-    report_eq = count_equilibria(sys_, domain, starts=args.starts, seed=args.seed, expect_unique=certified)
-    argument = _CASCADE_ARGUMENTS.get(args.fixture, _STRUCTURAL_ARGUMENT)
+            mv = conserved_mass_vector(net)
+            if mv is None:
+                raise NetworkError("network is not conservative; supply a dissipating --mass vector")
+            m_floats = list(mv.as_floats())
+        census_block, certified = _count_census(net, bindings, flows)
+    domain = default_domain(m_floats, flows)
+    counted = _count_along_path(sys_, domain) if certified else _count_by_multistart(sys_, domain, args)
     report = {
-        "domain": domain_block,
-        **report_eq.to_dict(),
-        "boundary": {"certified": True, "argument": argument, "violations": []},
+        "domain": {"m": m_floats, "M": domain.bound, "outflow": list(flows.outflow)},
+        **counted,
+        "boundary": {"certified": True, "argument": _STRUCTURAL_ARGUMENT, "violations": []},
+        "census": census_block,
     }
-    if cascade:
-        report["fixture"] = args.fixture
-    else:
-        try:
-            path = track_homotopy(sys_, domain)
-            report["homotopy"] = {**path.to_dict(), "matched_equilibrium": match_endpoint(report_eq, path.endpoint)}
-        except PathTrackingError as exc:
-            report["homotopy"] = {"stalled": True, "reason": str(exc), "last_lambda": exc.last_lambda}
-        report["census"] = census_block
     return report, EXIT_OK if certified else EXIT_UNCERTIFIED
+
+
+def _count_along_path(sys_, domain):
+    """Count block of a certified run: the endpoint of the lambda-path.
+
+    f_lambda is the network at rates lambda*k, so a one-signed census keeps
+    det J_lambda != 0 for every lambda in (0, 1], and the structural
+    argument keeps every f_lambda zero-free on the boundary: the path from
+    c_in/outflow is a regular arc to the one equilibrium.  A stalled path,
+    or an endpoint whose det sign is not (-1)^n, raises.
+    """
+    path = track_homotopy(sys_, domain)
+    sign = int(np.linalg.slogdet(sys_.jac(np.array(path.endpoint)))[0])
+    if sign != (-1) ** sys_.n:
+        raise UniqueEquilibriumError(
+            f"one-signed determinant has sign {(-1) ** sys_.n}, but det J is {sign} at the homotopy endpoint"
+        )
+    return {
+        "equilibria": [{"c": list(path.endpoint), "residual": path.endpoint_residual, "det_sign": sign}],
+        "degree_estimate": sign,
+        "tol": CORRECTOR_TOL,
+        "homotopy": path.to_dict(),
+    }
+
+
+def _count_by_multistart(sys_, domain, args):
+    """Count block of an uncertified run: multistart Newton, and the homotopy as a cross-check."""
+    report_eq = count_equilibria(sys_, domain, starts=args.starts, seed=args.seed)
+    try:
+        path = track_homotopy(sys_, domain)
+        homotopy = {**path.to_dict(), "matched_equilibrium": match_endpoint(report_eq, path.endpoint)}
+    except PathTrackingError as exc:
+        homotopy = {"stalled": True, "reason": str(exc), "last_lambda": exc.last_lambda}
+    return {**report_eq.to_dict(), "homotopy": homotopy}
 
 
 def _require_mass_action(net, command):
@@ -287,8 +319,8 @@ def _count_census(net, bindings, flows):
 
 def _cascade_system(args):
     """The cascade named by --fixture at its --k parameters (default 1), and its counting box."""
-    if any(value is not None for value in (args.file, args.inflow, args.outflow, args.mass, args.domain_mult)):
-        raise ValueError(f"--fixture {args.fixture} takes no network file, --inflow, --outflow, --mass or --domain-mult")
+    if any(value is not None for value in (args.file, args.inflow, args.outflow, args.mass)):
+        raise ValueError(f"--fixture {args.fixture} takes no network file, --inflow, --outflow or --mass")
     bindings = _parse_bindings(args.k)
     keys = fixtures.NUMERIC_FIXTURES[args.fixture]
     unknown = set(bindings) - set(keys)

@@ -55,7 +55,10 @@ class NumericSystem:
     under the same contract, which the homotopy and ``boundary_audit``
     need and check for on entry; standalone fixtures may leave the flow
     fields as None, and then ``f_lambda``/``jac_lambda`` must not be
-    called.  Evaluators must be pure.
+    called.  ``g_magnitude``, where given, maps c to the term-wise
+    magnitudes of g, |V|^T (k * c^Y) for a network, and makes the homotopy
+    corrector's tolerance scale-aware (``lambda_scale``).  Evaluators must
+    be pure.
     """
 
     n: int
@@ -65,10 +68,19 @@ class NumericSystem:
     c_in: Optional[np.ndarray] = None
     outflow: Optional[np.ndarray] = None
     provenance: str = "custom"
+    g_magnitude: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def f_lambda(self, c: np.ndarray, lam: float) -> np.ndarray:
         """Homotopy family c_in - outflow*c + lam * g(c)."""
         return self.c_in - self.outflow * c + lam * self.g(c)
+
+    def lambda_scale(self, c: np.ndarray, lam: float) -> Optional[float]:
+        """Norm of the term-wise magnitudes of f_lambda at c,
+        ||c_in + outflow*c + lam * g_magnitude(c)||, or None without
+        ``g_magnitude``."""
+        if self.g_magnitude is None:
+            return None
+        return float(np.linalg.norm(self.c_in + self.outflow * c + lam * self.g_magnitude(c)))
 
     def jac_lambda(self, c: np.ndarray, lam: float) -> np.ndarray:
         return lam * (self.jac(c) + self._outflow_diag) - self._outflow_diag
@@ -82,19 +94,22 @@ class NumericSystem:
             raise ValueError(f"system {self.provenance!r} lacks inflow/outflow structure")
 
 
-def flow_system(flows: FlowAugmentation, g=None, jac_g=None, provenance: str = "flow-only") -> NumericSystem:
+def flow_system(
+    flows: FlowAugmentation, g=None, jac_g=None, provenance: str = "flow-only", g_magnitude=None
+) -> NumericSystem:
     """The flow-augmented system f(c) = c_in - outflow*c + g(c).
 
-    ``g`` and its Jacobian ``jac_g`` are the reaction terms, under the
-    evaluator contract of NumericSystem; omitted, both are 0 and f is the
-    pure-flow system with equilibrium c_in/outflow.
+    ``g``, its Jacobian ``jac_g`` and its term-wise magnitudes
+    ``g_magnitude`` are the reaction terms, under the evaluator contract of
+    NumericSystem; omitted, all three are 0 and f is the pure-flow system
+    with equilibrium c_in/outflow.
     """
     c_in = np.array(flows.inflow)
     outflow = np.array(flows.outflow)
     outflow_diag = np.diag(outflow)
     n = len(c_in)
     if g is None:
-        g = lambda c: np.zeros(np.shape(c))
+        g = g_magnitude = lambda c: np.zeros(np.shape(c))
         jac_g = lambda c: np.zeros(np.shape(c) + (n,))
 
     def f(c: np.ndarray) -> np.ndarray:
@@ -103,7 +118,7 @@ def flow_system(flows: FlowAugmentation, g=None, jac_g=None, provenance: str = "
     def jac(c: np.ndarray) -> np.ndarray:
         return jac_g(c) - outflow_diag
 
-    return NumericSystem(n, f, jac, g=g, c_in=c_in, outflow=outflow, provenance=provenance)
+    return NumericSystem(n, f, jac, g=g, c_in=c_in, outflow=outflow, provenance=provenance, g_magnitude=g_magnitude)
 
 
 def numeric_system_from_network(
@@ -115,8 +130,9 @@ def numeric_system_from_network(
 
     Every reaction needs a numeric rate constant, either on the reaction
     itself or in ``rate_constants`` keyed by reaction label.  The system
-    is ``flow_system(flows, g, jac_g)`` with the polynomial reaction terms
-    g(c) = (k * prod(c**Y)) @ V, Y the source and V the reaction vectors.
+    is ``flow_system(flows, g, jac_g, g_magnitude)`` with the polynomial
+    reaction terms g(c) = (k * prod(c**Y)) @ V, Y the source and V the
+    reaction vectors, and their magnitudes (k * prod(c**Y)) @ |V|.
 
     Raises:
         NetworkError: on a reaction without mass-action kinetics, or a
@@ -149,9 +165,14 @@ def numeric_system_from_network(
     def jac_g(c: np.ndarray) -> np.ndarray:
         return V.T @ (rates(c)[..., :, None] * Y / c[..., None, :])
 
+    abs_V = np.abs(V)
+
+    def g_magnitude(c: np.ndarray) -> np.ndarray:
+        return rates(c) @ abs_V
+
     if len(flows.inflow) != n:
         raise NetworkError(f"flow vectors have length {len(flows.inflow)}, expected {n}")
-    return flow_system(flows, g, jac_g, provenance="network")
+    return flow_system(flows, g, jac_g, provenance="network", g_magnitude=g_magnitude)
 
 
 # ---------------------------------------------------------------------------
@@ -566,18 +587,24 @@ HOMOTOPY_INITIAL_STEP = 0.1
 HOMOTOPY_MIN_STEP = 1e-10
 HOMOTOPY_MAX_STEPS = 10000
 CORRECTOR_TOL = 1e-10
+CORRECTOR_REL_TOL = 1e-12
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
     """Track the zero of f_lambda = c_in - outflow*c + lambda*g from its
     explicit solution at lambda=0 up to an equilibrium at lambda=1.
 
-    Euler predictor along dc/dlambda, Newton corrector at fixed lambda;
-    the step grows 1.5x after two easy corrections and halves on failure.
+    Euler predictor along dc/dlambda, Newton corrector at fixed lambda
+    to the scale-aware residual max(CORRECTOR_TOL, CORRECTOR_REL_TOL * s)
+    of ``_correct``; the step grows 1.5x after two easy corrections and
+    halves on failure.  An overflow prints no warning (``np.errstate``).
 
     Raises:
-        PathTrackingError: when the step underflows ("path tracking
-            stalled") or an accepted iterate leaves the domain closure.
+        PathTrackingError: when f_lambda or J_lambda is not finite at an
+            accepted point ("non-finite"), the step underflows ("path
+            tracking stalled"), or an accepted iterate leaves the domain
+            closure.
     """
     sys._require_flows()
     c = np.array(sys.c_in) / np.array(sys.outflow)
@@ -588,11 +615,14 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
     for _ in range(HOMOTOPY_MAX_STEPS):
         if lam >= 1.0:
             break
+        jac, g = sys.jac_lambda(c, lam), sys.g(c)
+        if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(g))):
+            raise PathTrackingError("non-finite f_lambda or J_lambda", lam)
         h = min(h, 1.0 - lam)
         target = lam + h
         c_pred = c
         try:
-            tangent = np.linalg.solve(sys.jac_lambda(c, lam), -sys.g(c))
+            tangent = np.linalg.solve(jac, -g)
             c_pred = np.maximum(c + h * tangent, 1e-300)
         except np.linalg.LinAlgError:
             pass
@@ -619,13 +649,25 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
 
 
 def _correct(sys: NumericSystem, x0: np.ndarray, lam: float, max_iter: int = 8):
+    """Newton on f_lambda at fixed lambda from x0, kept strictly positive:
+    (accepted, point, iterations).
+
+    Accepts at ||f_lambda|| <= max(CORRECTOR_TOL, CORRECTOR_REL_TOL * s),
+    a backward error against the term-wise magnitudes s of f_lambda
+    (``sys.lambda_scale``), taken once at the predicted point x0.  A
+    system without ``g_magnitude`` has the absolute test alone.
+    """
     x = np.array(x0)
     if np.any(x <= 0):
         return False, x, 0
+    scale = sys.lambda_scale(x, lam)
+    if scale is not None and not math.isfinite(scale):
+        return False, x, 0
+    tol = CORRECTOR_TOL if scale is None else max(CORRECTOR_TOL, CORRECTOR_REL_TOL * scale)
     for it in range(1, max_iter + 1):
         fx = sys.f_lambda(x, lam)
         r = float(np.linalg.norm(fx))
-        if r <= CORRECTOR_TOL:
+        if r <= tol:
             return True, x, it - 1
         try:
             step = np.linalg.solve(sys.jac_lambda(x, lam), -fx)
@@ -635,7 +677,7 @@ def _correct(sys: NumericSystem, x0: np.ndarray, lam: float, max_iter: int = 8):
         if not np.all(np.isfinite(x)):
             return False, x, it
     fx = sys.f_lambda(x, lam)
-    return float(np.linalg.norm(fx)) <= CORRECTOR_TOL, x, max_iter
+    return float(np.linalg.norm(fx)) <= tol, x, max_iter
 
 
 MATCH_RADIUS = 1e-6

@@ -6,12 +6,16 @@ expansions, exact rational arithmetic, closed-form equilibria, and the
 published censuses of the benchmark networks.
 """
 
+import io
+import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
+from crncount.cli import _count_census, main
 from crncount.conservation import MassVerdict, check_mass_vector, conserved_mass_vector
-from crncount.fixtures import fixture_names, fixture_network, mapk_cube, thron_box, thron_cascade, unit_cube
+from crncount.fixtures import NETWORK_FIXTURES, fixture_names, fixture_network, mapk_cube, thron_box, thron_cascade, unit_cube
 from crncount.jacobian import (
     augmented_mass_action_jacobian,
     build_general_jacobian,
@@ -257,3 +261,42 @@ def test_criterion_11_substituted_checks():
     assert witness.report.count >= 3 and witness.report.count % 2 == 1
     assert witness.report.degree_estimate == -1
     _passed("11", f"witness with {witness.report.count} equilibria satisfies degree identity -1")
+
+
+def test_criterion_12_certified_counts_follow_the_homotopy():
+    # Every network fixture at 20 random rate sets and outflows: each run the
+    # census certifies exits 0 with the one equilibrium at the end of its
+    # lambda-path, and where multistart Newton converges (an independent
+    # count) it finds the same root.
+    t0 = time.monotonic()
+    rng = np.random.default_rng(5)
+    certified = compared = 0
+    for name in NETWORK_FIXTURES:
+        net = fixture_network(name)
+        domain_m = conserved_mass_vector(net)
+        for draw in range(20):
+            k = {r.label: float(10 ** rng.uniform(-2, 2)) for r in net.reactions}
+            outflow = float(10 ** rng.uniform(-3, 1))
+            flows = FlowAugmentation.uniform(net.n, outflow=outflow)
+            if not _count_census(net, k, flows)[1]:
+                continue
+            certified += 1
+            argv = ["count", "--fixture", name, "--outflow", repr(outflow)]
+            argv += [a for label, value in k.items() for a in ("--k", f"{label}={value!r}")]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code == 0, (name, draw, outflow, err.getvalue())
+            (equilibrium,) = json.loads(out.getvalue())["equilibria"]
+            c = np.array(equilibrium["c"])
+            rep = count_equilibria(
+                numeric_system_from_network(net, k, flows), default_domain(domain_m, flows), starts=100, seed=0
+            )
+            assert rep.count <= 1, (name, draw)
+            if rep.count:
+                compared += 1
+                p = np.array(rep.equilibria[0].point)
+                assert np.linalg.norm(c - p) <= 1e-6 * np.linalg.norm(p), (name, draw)
+    elapsed = time.monotonic() - t0
+    assert certified >= 100
+    _passed("12", f"{certified} certified draws exit 0 with one root; {compared} match multistart, in {elapsed:.2f}s")

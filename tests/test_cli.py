@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crncount import cli
 from crncount.cli import main
 from crncount.conservation import conserved_mass_vector
 from crncount.dsl import parse_network
@@ -152,7 +153,8 @@ def test_count_example_61_certified_by_dominance(capsys):
     assert report["census"]["conditions_hold_at_parameters"] is True
     assert len(report["equilibria"]) == 1
     assert report["degree_estimate"] == -1
-    assert report["homotopy"]["matched_equilibrium"] == 0
+    # A certified run reads its one equilibrium off the homotopy endpoint.
+    assert report["equilibria"][0]["c"] == report["homotopy"]["endpoint"]
     assert report["boundary"]["certified"] is True
 
 
@@ -293,12 +295,12 @@ def test_count_flow_only_rejects_network_arguments(tmp_path, capsys, extra):
 @pytest.mark.parametrize("fixture", ["mapk-thron", "mapk-cube"])
 @pytest.mark.parametrize(
     "extra",
-    [["NETWORK"], ["--inflow", "3"], ["--outflow", "5"], ["--mass", "1"], ["--domain-mult", "4"]],
-    ids=["file", "inflow", "outflow", "mass", "domain-mult"],
+    [["NETWORK"], ["--inflow", "3"], ["--outflow", "5"], ["--mass", "1"]],
+    ids=["file", "inflow", "outflow", "mass"],
 )
 def test_count_numeric_fixture_rejects_network_arguments(tmp_path, capsys, fixture, extra):
-    # The cascades are fixed systems on a fixed box: flows, a mass vector
-    # and a domain multiplier would be ignored, so they are refused.
+    # The cascades are fixed systems on a fixed box: flows and a mass vector
+    # would be ignored, so they are refused.
     f = tmp_path / "net.crn"
     f.write_text("A -> B\n")
     argv = [str(f) if a == "NETWORK" else a for a in extra]
@@ -326,9 +328,7 @@ def test_count_rejects_non_finite_flows(capsys, argv):
 _K_61 = ["--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=0.5"]
 
 
-@pytest.mark.parametrize(
-    "extra", [["--domain-mult", "inf"], ["--inflow", "1e307"]], ids=["domain-mult-inf", "inflow-overflows-M"]
-)
+@pytest.mark.parametrize("extra", [["--inflow", "1e307"]], ids=["inflow-overflows-M"])
 def test_count_rejects_non_finite_domain_bound(capsys, extra):
     code, out, err = _run(capsys, "count", "--fixture", "example-6.1", *_K_61, *extra)
     assert code == 1
@@ -470,9 +470,13 @@ def test_count_general_kinetics_file_points_to_census(tmp_path, capsys):
 
 
 def test_count_reports_newton_statuses(capsys):
-    # The report tallies how every Newton start ended, converged_runs among them.
-    code, out, _ = _run(capsys, "count", "--fixture", "example-6.1", *_K_61, "--starts", "60", "--seed", "1")
-    assert code == 0
+    # An uncertified run's report tallies how every Newton start ended,
+    # converged_runs among them.
+    code, out, _ = _run(
+        capsys, "count", "--fixture", "example-6.1", "--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=2",
+        "--starts", "60", "--seed", "1",
+    )
+    assert code == 2
     report = json.loads(out)
     statuses = report["newton_statuses"]
     assert sum(statuses.values()) == 60 and all(k > 0 for k in statuses.values())
@@ -480,13 +484,54 @@ def test_count_reports_newton_statuses(capsys):
     assert set(statuses) <= {"converged", "non-finite", "singular-jacobian", "no-descent", "diverged", "max-iterations"}
 
 
-def test_count_overflowing_domain_fails_in_one_line(capsys):
-    # M = 9e300 is finite, but f overflows at every start point: each start
-    # ends "non-finite" without a numpy warning, and the failure says so.
-    code, out, err = _run(capsys, "count", "--fixture", "example-6.1", *_K_61, "--domain-mult", "1e300")
-    assert code == 1
-    assert out == ""
-    assert err == "error: one-signed determinant guarantees a unique equilibrium, found 0; Newton starts: non-finite 100\n"
+def _unit_rates(fixture):
+    return [a for r in fixture_network(fixture).reactions for a in ("--k", f"{r.label}=1")]
+
+
+def test_count_certified_runs_take_the_homotopy_path(monkeypatch, capsys):
+    # On a certified network or --flow-only run the lambda-path is the
+    # count: multistart Newton must not run, and the report has no starts.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certified run called count_equilibria")
+
+    monkeypatch.setattr(cli, "count_equilibria", refuse)
+    for argv in (
+        ["--fixture", "example-6.1", *_K_61],
+        ["--fixture", "table1-ii", *_unit_rates("table1-ii")],
+        ["--flow-only", "--inflow", "2,3", "--outflow", "1,2"],
+    ):
+        code, out, err = _run(capsys, "count", *argv)
+        assert code == 0, (argv, err)
+        report = json.loads(out)
+        assert set(report) == {"domain", "equilibria", "degree_estimate", "tol", "homotopy", "boundary", "census"}
+        assert set(report["homotopy"]) == {"endpoint", "endpoint_residual", "steps", "stalled"}
+        (equilibrium,) = report["equilibria"]
+        assert equilibrium["c"] == report["homotopy"]["endpoint"]
+        assert equilibrium["residual"] == report["homotopy"]["endpoint_residual"]
+        assert report["degree_estimate"] == equilibrium["det_sign"]
+
+
+@pytest.mark.parametrize("outflow", ["1e-300", "1e-8"])
+def test_count_overflowing_path_fails_in_one_line(capsys, outflow):
+    # At outflow 1e-300 the path starts at c = c_in/outflow = 1e300, where
+    # the mass-action terms overflow; at 1e-8 it starts at c = 1e8.  Either
+    # run exits 0, or exits 1 with one error line and no numpy warning.
+    code, out, err = _run(capsys, "count", "--fixture", "table1-iv", *_unit_rates("table1-iv"), "--outflow", outflow)
+    if code == 0:
+        assert len(json.loads(out)["equilibria"]) == 1
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    if outflow == "1e-300":
+        assert err == "error: non-finite f_lambda or J_lambda (last good lambda = 0)\n"
+
+
+def test_count_table1_iv_small_outflow(capsys):
+    # Multistart Newton finds no root of this certified run; the lambda-path does.
+    code, out, err = _run(capsys, "count", "--fixture", "table1-iv", *_unit_rates("table1-iv"), "--outflow", "1e-3")
+    assert code == 0, err
+    (equilibrium,) = json.loads(out)["equilibria"]
+    assert np.allclose(equilibrium["c"], [501.5, 2.99, 1498.5, 501.5, 1498.5], rtol=2e-3)
 
 
 def _boundary_cases():
