@@ -15,8 +15,6 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-import numpy as np
-
 from . import fixtures
 from .conservation import check_mass_vector, conservation_report, conserved_mass_vector
 from .dsl import ParseError, parse_network
@@ -33,6 +31,7 @@ from .jacobian import (
 from .network import FlowAugmentation, MassAction, NetworkError, with_general_kinetics
 from .numeric import (
     CORRECTOR_TOL,
+    Equilibrium,
     PathTrackingError,
     UniqueEquilibriumError,
     count_equilibria,
@@ -200,17 +199,11 @@ _CASCADE_ARGUMENTS = {
 def _cmd_count(args):
     if args.flow_only and (args.file or args.fixture or args.k or args.mass):
         raise ValueError("--flow-only takes no network file, --fixture, --k or --mass")
-    cascade = args.fixture in fixtures.NUMERIC_FIXTURES
-    if cascade:
-        sys_, domain = _cascade_system(args)
-        report_eq = count_equilibria(sys_, domain, starts=args.starts, seed=args.seed, expect_unique=True)
-        report = {
-            "domain": {"box_lo": list(domain.lo), "box_hi": list(domain.hi)},
-            **report_eq.to_dict(),
-            "boundary": {"certified": True, "argument": _CASCADE_ARGUMENTS[args.fixture], "violations": []},
-            "fixture": args.fixture,
-        }
-        return report, EXIT_OK
+    if args.fixture in fixtures.NUMERIC_FIXTURES:
+        sys_, box = _cascade_system(args)
+        counted = count_equilibria(sys_, box, starts=args.starts, seed=args.seed).to_dict()
+        box_block = {"box_lo": list(box.lo), "box_hi": list(box.hi)}
+        return _count_report(sys_.n, box_block, counted, True, _CASCADE_ARGUMENTS[args.fixture], fixture=args.fixture)
     census_block, certified = None, True
     inflow = "1" if args.inflow is None else args.inflow
     outflow = "1" if args.outflow is None else args.outflow
@@ -244,12 +237,23 @@ def _cmd_count(args):
         census_block, certified = _count_census(net, bindings, flows)
     domain = default_domain(m_floats, flows)
     counted = _count_along_path(sys_, domain) if certified else _count_by_multistart(sys_, domain, args)
-    report = {
-        "domain": {"m": m_floats, "M": domain.bound, "outflow": list(flows.outflow)},
-        **counted,
-        "boundary": {"certified": True, "argument": _STRUCTURAL_ARGUMENT, "violations": []},
-        "census": census_block,
-    }
+    domain_block = {"m": m_floats, "M": domain.bound, "outflow": list(flows.outflow)}
+    return _count_report(sys_.n, domain_block, counted, certified, _STRUCTURAL_ARGUMENT, census=census_block)
+
+
+def _count_report(n, domain, counted, certified, argument, **source):
+    """Report {domain, **counted, boundary, census | fixture} and exit code of
+    every crn count run.  A certified run must show the degree rule: exactly
+    one equilibrium, where det J has the sign (-1)^n of a one-signed det."""
+    found, sign = len(counted["equilibria"]), counted["degree_estimate"]
+    if certified and found != 1:
+        listed = ", ".join(f"{status} {k}" for status, k in counted["newton_statuses"].items())
+        raise UniqueEquilibriumError(
+            f"one-signed determinant guarantees a unique equilibrium, found {found}; Newton starts: {listed}"
+        )
+    if certified and sign != (-1) ** n:
+        raise UniqueEquilibriumError(f"one-signed determinant has sign {(-1) ** n}, but det J is {sign} at the equilibrium")
+    report = {"domain": domain, **counted, "boundary": {"certified": True, "argument": argument, "violations": []}, **source}
     return report, EXIT_OK if certified else EXIT_UNCERTIFIED
 
 
@@ -259,32 +263,30 @@ def _count_along_path(sys_, domain):
     f_lambda is the network at rates lambda*k, so a one-signed census keeps
     det J_lambda != 0 for every lambda in (0, 1], and the structural
     argument keeps every f_lambda zero-free on the boundary: the path from
-    c_in/outflow is a regular arc to the one equilibrium.  A stalled path,
-    or an endpoint whose det sign is not (-1)^n, raises.
+    c_in/outflow is a regular arc to the one equilibrium.  A stalled path
+    raises.
     """
     path = track_homotopy(sys_, domain)
-    sign = int(np.linalg.slogdet(sys_.jac(np.array(path.endpoint)))[0])
-    if sign != (-1) ** sys_.n:
-        raise UniqueEquilibriumError(
-            f"one-signed determinant has sign {(-1) ** sys_.n}, but det J is {sign} at the homotopy endpoint"
-        )
-    return {
-        "equilibria": [{"c": list(path.endpoint), "residual": path.endpoint_residual, "det_sign": sign}],
-        "degree_estimate": sign,
-        "tol": CORRECTOR_TOL,
-        "homotopy": path.to_dict(),
-    }
+    endpoint = Equilibrium.at(sys_, path.endpoint, path.endpoint_residual)
+    counted = {"equilibria": [endpoint.to_dict()], "degree_estimate": endpoint.det_sign}
+    return {**counted, "tol": CORRECTOR_TOL, "homotopy": path.to_dict()}
 
 
 def _count_by_multistart(sys_, domain, args):
-    """Count block of an uncertified run: multistart Newton, and the homotopy as a cross-check."""
+    """Count block of an uncertified run: multistart Newton, and the homotopy
+    as a cross-check, whose endpoint joins the roots when it lies in the open
+    domain and matches none of them (the degree (-1)^n guarantees a root)."""
     report_eq = count_equilibria(sys_, domain, starts=args.starts, seed=args.seed)
     try:
         path = track_homotopy(sys_, domain)
-        homotopy = {**path.to_dict(), "matched_equilibrium": match_endpoint(report_eq, path.endpoint)}
     except PathTrackingError as exc:
-        homotopy = {"stalled": True, "reason": str(exc), "last_lambda": exc.last_lambda}
-    return {**report_eq.to_dict(), "homotopy": homotopy}
+        return {**report_eq.to_dict(), "homotopy": {"stalled": True, "reason": str(exc), "last_lambda": exc.last_lambda}}
+    matched = match_endpoint(report_eq, path.endpoint)
+    if matched is None and domain.contains(path.endpoint):
+        endpoint = Equilibrium.at(sys_, path.endpoint, path.endpoint_residual)
+        report_eq.equilibria = sorted([*report_eq.equilibria, endpoint], key=lambda e: e.point)
+        matched = report_eq.equilibria.index(endpoint)
+    return {**report_eq.to_dict(), "homotopy": {**path.to_dict(), "matched_equilibrium": matched}}
 
 
 def _require_mass_action(net, command):

@@ -328,10 +328,10 @@ def make_domain(m, flows: FlowAugmentation, bound: float) -> MassDomain:
     return MassDomain(entries, flows.outflow, bound)
 
 
-def default_domain(m, flows: FlowAugmentation, mult: float = 10.0) -> MassDomain:
-    """Domain with M = mult * (m . c_in); any mult > 1 yields a valid region."""
+def default_domain(m, flows: FlowAugmentation) -> MassDomain:
+    """Domain with M = 10 * (m . c_in)."""
     entries = m.as_floats() if isinstance(m, MassVector) else [float(x) for x in m]
-    return make_domain(m, flows, mult * float(np.dot(entries, flows.inflow)))
+    return make_domain(m, flows, 10.0 * float(np.dot(entries, flows.inflow)))
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +470,20 @@ def _fraction(distance: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Equilibrium:
+    """A root: its point, its residual ||f|| and the sign of det J there."""
+
     point: Tuple[float, ...]
     residual: float
     det_sign: int
+
+    @classmethod
+    def at(cls, sys: NumericSystem, point, residual: float) -> "Equilibrium":
+        """The root ``point`` of ``sys``, signed by slogdet(sys.jac(point))."""
+        c = np.array(point, dtype=float)
+        return cls(tuple(c.tolist()), float(residual), int(np.linalg.slogdet(sys.jac(c))[0]))
+
+    def to_dict(self) -> dict:
+        return {"c": list(self.point), "residual": self.residual, "det_sign": self.det_sign}
 
 
 COUNT_TOL = 1e-10
@@ -481,11 +492,10 @@ DEDUP_RADIUS = 1e-7
 
 @dataclass
 class EquilibriumReport:
-    """Deduplicated equilibria found in a domain, with a degree estimate and
-    the number of Newton starts that ended in each status."""
+    """Deduplicated equilibria found in a domain, and the number of Newton
+    starts that ended in each status."""
 
     equilibria: List[Equilibrium]
-    degree_estimate: int
     starts: int
     seed: int
     newton_statuses: Dict[str, int]
@@ -495,15 +505,17 @@ class EquilibriumReport:
         return len(self.equilibria)
 
     @property
+    def degree_estimate(self) -> int:
+        """Sum of the det signs of the equilibria."""
+        return sum(e.det_sign for e in self.equilibria)
+
+    @property
     def converged_runs(self) -> int:
         return self.newton_statuses.get("converged", 0)
 
     def to_dict(self) -> dict:
         return {
-            "equilibria": [
-                {"c": list(e.point), "residual": e.residual, "det_sign": e.det_sign}
-                for e in self.equilibria
-            ],
+            "equilibria": [e.to_dict() for e in self.equilibria],
             "degree_estimate": self.degree_estimate,
             "starts": self.starts,
             "seed": self.seed,
@@ -514,7 +526,7 @@ class EquilibriumReport:
         }
 
 
-def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int, expect_unique: bool = False) -> EquilibriumReport:
+def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int) -> EquilibriumReport:
     """Multistart damped Newton census of equilibria inside a domain.
 
     Start points are Halton points mapped into the domain; Newton runs
@@ -522,12 +534,8 @@ def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int, expect_
     strictly inside the open domain (``domain.step_fraction``), so no start
     can reach a root outside it; converged roots are filtered by
     ``domain.contains`` only as a guard against rounding, merged up to the
-    relative DEDUP_RADIUS and reported sorted lexicographically, with the
-    sign of det(jac) at each root and their sum as the degree estimate.
-
-    With ``expect_unique=True`` (census certified a one-signed
-    determinant) a count other than one raises UniqueEquilibriumError,
-    whose message tallies the Newton exit statuses.
+    relative DEDUP_RADIUS and reported sorted lexicographically, each with
+    the sign of det(jac) there.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
@@ -546,19 +554,8 @@ def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int, expect_
                 break
         else:
             reps.append((p, residual))
-    equilibria = []
-    for p, residual in reps:
-        sign, _ = np.linalg.slogdet(sys.jac(p))
-        equilibria.append(Equilibrium(tuple(p), residual, int(sign)))
-    degree = sum(e.det_sign for e in equilibria)
-    tally = dict(sorted(Counter(statuses.tolist()).items()))
-    report = EquilibriumReport(equilibria, degree, starts, seed, tally)
-    if expect_unique and report.count != 1:
-        listed = ", ".join(f"{status} {k}" for status, k in tally.items())
-        raise UniqueEquilibriumError(
-            f"one-signed determinant guarantees a unique equilibrium, found {report.count}; Newton starts: {listed}"
-        )
-    return report
+    equilibria = [Equilibrium.at(sys, p, residual) for p, residual in reps]
+    return EquilibriumReport(equilibria, starts, seed, dict(sorted(Counter(statuses.tolist()).items())))
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +585,7 @@ HOMOTOPY_MIN_STEP = 1e-10
 HOMOTOPY_MAX_STEPS = 10000
 CORRECTOR_TOL = 1e-10
 CORRECTOR_REL_TOL = 1e-12
+CORRECTOR_MAX_ITER = 8
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -648,9 +646,9 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
     return HomotopyPath(samples, tuple(c), residual, len(samples) - 1)
 
 
-def _correct(sys: NumericSystem, x0: np.ndarray, lam: float, max_iter: int = 8):
-    """Newton on f_lambda at fixed lambda from x0, kept strictly positive:
-    (accepted, point, iterations).
+def _correct(sys: NumericSystem, x0: np.ndarray, lam: float):
+    """At most CORRECTOR_MAX_ITER Newton steps on f_lambda at fixed lambda
+    from x0, kept strictly positive: (accepted, point, iterations).
 
     Accepts at ||f_lambda|| <= max(CORRECTOR_TOL, CORRECTOR_REL_TOL * s),
     a backward error against the term-wise magnitudes s of f_lambda
@@ -664,7 +662,7 @@ def _correct(sys: NumericSystem, x0: np.ndarray, lam: float, max_iter: int = 8):
     if scale is not None and not math.isfinite(scale):
         return False, x, 0
     tol = CORRECTOR_TOL if scale is None else max(CORRECTOR_TOL, CORRECTOR_REL_TOL * scale)
-    for it in range(1, max_iter + 1):
+    for it in range(1, CORRECTOR_MAX_ITER + 1):
         fx = sys.f_lambda(x, lam)
         r = float(np.linalg.norm(fx))
         if r <= tol:
@@ -677,7 +675,7 @@ def _correct(sys: NumericSystem, x0: np.ndarray, lam: float, max_iter: int = 8):
         if not np.all(np.isfinite(x)):
             return False, x, it
     fx = sys.f_lambda(x, lam)
-    return float(np.linalg.norm(fx)) <= tol, x, max_iter
+    return float(np.linalg.norm(fx)) <= tol, x, CORRECTOR_MAX_ITER
 
 
 MATCH_RADIUS = 1e-6

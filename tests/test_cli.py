@@ -14,7 +14,14 @@ from crncount.dsl import parse_network
 from crncount.fixtures import NETWORK_FIXTURES, fixture_network, mapk_cube, unit_cube
 from crncount.jacobian import build_general_jacobian, sign_census
 from crncount.network import FlowAugmentation
-from crncount.numeric import box_audit, boundary_audit, default_domain, numeric_system_from_network
+from crncount.numeric import (
+    Equilibrium,
+    EquilibriumReport,
+    box_audit,
+    boundary_audit,
+    default_domain,
+    numeric_system_from_network,
+)
 from crncount.polynomial import determinant_expand
 
 
@@ -357,6 +364,24 @@ def test_count_cascade_certifies_only_one_root(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "signs, message",
+    [
+        ((-1, 1), "one-signed determinant guarantees a unique equilibrium, found 2; Newton starts: converged 30"),
+        ((1,), "one-signed determinant has sign -1, but det J is 1 at the equilibrium"),
+    ],
+    ids=["two-roots", "wrong-sign"],
+)
+def test_count_cascade_enforces_the_degree_rule(monkeypatch, capsys, signs, message):
+    # A certified cascade run must count exactly one equilibrium, where det J
+    # has the sign (-1)^3; any other count fails in one line.
+    roots = [Equilibrium((0.25 * (i + 1),) * 3, 0.0, sign) for i, sign in enumerate(signs)]
+    monkeypatch.setattr(cli, "count_equilibria", lambda *a, **kw: EquilibriumReport(roots, 30, 0, {"converged": 30}))
+    code, out, err = _run(capsys, "count", "--fixture", "mapk-thron")
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def _thron_c3(p, c0):
     """Bisection root of p1*c0/(p2+c3) = p5*c3/(p6+c3), whose difference
     decreases strictly in c3 from p1*c0/p2 > 0 towards -p5 < 0."""
@@ -484,6 +509,10 @@ def test_count_reports_newton_statuses(capsys):
     assert set(statuses) <= {"converged", "non-finite", "singular-jacobian", "no-descent", "diverged", "max-iterations"}
 
 
+def _k_args(rates):
+    return [a for label, value in rates.items() for a in ("--k", f"{label}={value!r}")]
+
+
 def _unit_rates(fixture):
     return [a for r in fixture_network(fixture).reactions for a in ("--k", f"{r.label}=1")]
 
@@ -532,6 +561,54 @@ def test_count_table1_iv_small_outflow(capsys):
     assert code == 0, err
     (equilibrium,) = json.loads(out)["equilibria"]
     assert np.allclose(equilibrium["c"], [501.5, 2.99, 1498.5, 501.5, 1498.5], rtol=2e-3)
+
+
+def test_count_uncertified_lists_the_path_endpoint_newton_missed(capsys):
+    # Draw 9 of example-6.1 in acceptance criterion 12's seed-5 sweep: the
+    # census leaves it uncertified and every Newton start ends no-descent, so
+    # the one root listed is the endpoint of the lambda-path.
+    rates = {"A+B->P": 0.14989442646734086, "B+C->Q": 0.5942531689885499, "C->2A": 0.11111027383071961}
+    outflow = 0.0015373277318452717
+    code, out, err = _run(capsys, "count", "--fixture", "example-6.1", "--outflow", repr(outflow), *_k_args(rates))
+    assert code == 2, err
+    report = json.loads(out)
+    assert report["newton_statuses"] == {"no-descent": 100}
+    (equilibrium,) = report["equilibria"]
+    assert report["homotopy"]["matched_equilibrium"] == 0
+    assert equilibrium["c"] == report["homotopy"]["endpoint"]
+    assert equilibrium["residual"] == report["homotopy"]["endpoint_residual"]
+    assert report["degree_estimate"] == equilibrium["det_sign"] == -1
+    net = fixture_network("example-6.1")
+    system = numeric_system_from_network(net, rates, FlowAugmentation.uniform(net.n, outflow=outflow))
+    c = np.array(equilibrium["c"])
+    assert np.linalg.norm(system.f(c)) == pytest.approx(equilibrium["residual"])
+    assert np.linalg.norm(system.f(c)) <= 1e-12 * np.linalg.norm(c)
+
+
+def test_uncertified_counts_list_a_root_wherever_the_path_ends(capsys):
+    # The degree (-1)^n guarantees a root.  In acceptance criterion 12's
+    # seed-5 sweep, every draw the census leaves uncertified has a path that
+    # reaches lambda = 1, so each report lists at least one equilibrium, the
+    # endpoint matches one of them, and the degree is the sum of the signs.
+    rng = np.random.default_rng(5)
+    uncertified = 0
+    for name in NETWORK_FIXTURES:
+        net = fixture_network(name)
+        for draw in range(20):
+            k = {r.label: float(10 ** rng.uniform(-2, 2)) for r in net.reactions}
+            outflow = float(10 ** rng.uniform(-3, 1))
+            if cli._count_census(net, k, FlowAugmentation.uniform(net.n, outflow=outflow))[1]:
+                continue
+            uncertified += 1
+            code, out, err = _run(capsys, "count", "--fixture", name, "--outflow", repr(outflow), *_k_args(k))
+            assert code == 2, (name, draw, err)
+            report = json.loads(out)
+            equilibria, matched = report["equilibria"], report["homotopy"]["matched_equilibrium"]
+            assert equilibria and isinstance(matched, int), (name, draw)
+            c, endpoint = np.array(equilibria[matched]["c"]), np.array(report["homotopy"]["endpoint"])
+            assert np.linalg.norm(c - endpoint) <= 1e-6 * (1 + np.linalg.norm(c)), (name, draw)
+            assert report["degree_estimate"] == sum(e["det_sign"] for e in equilibria), (name, draw)
+    assert uncertified == 138
 
 
 def _boundary_cases():

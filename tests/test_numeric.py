@@ -14,7 +14,6 @@ from crncount.numeric import (
     MassDomain,
     NumericSystem,
     PathTrackingError,
-    UniqueEquilibriumError,
     boundary_audit,
     box_audit,
     count_equilibria,
@@ -383,7 +382,7 @@ def test_count_seed_determinism():
     assert rep1.to_dict() == rep2.to_dict()
 
 
-def test_count_expect_unique_violation():
+def test_count_reports_both_roots_of_a_two_root_system():
     # two-root scalar system: f = (c-1)(c-3) has roots 1, 3 inside the domain
     sys = NumericSystem(
         1,
@@ -395,8 +394,6 @@ def test_count_expect_unique_violation():
     assert rep.count == 2
     assert rep.degree_estimate == 0
     assert rep.newton_statuses == {"converged": 30}
-    with pytest.raises(UniqueEquilibriumError, match=r"found 2; Newton starts: converged 30$"):
-        count_equilibria(sys, dom, starts=30, seed=0, expect_unique=True)
 
 
 def test_count_requires_positive_starts():
@@ -448,7 +445,7 @@ def test_missing_rate_constant_rejected():
 
 def test_one_signed_census_implies_unique_equilibrium():
     # table1-iv censuses with no anomalous terms, so every parameter draw
-    # must yield exactly one equilibrium; expect_unique enforces it.
+    # must yield exactly one equilibrium.
     from crncount.jacobian import augmented_mass_action_jacobian, sign_census
     from crncount.polynomial import determinant_expand
 
@@ -462,7 +459,8 @@ def test_one_signed_census_implies_unique_equilibrium():
     for draw in range(20):
         k = {r.label: 10 ** rng.uniform(-1, 1) for r in net.reactions}
         sys = numeric_system_from_network(net, k, flows)
-        rep = count_equilibria(sys, dom, starts=60, seed=draw, expect_unique=True)
+        rep = count_equilibria(sys, dom, starts=60, seed=draw)
+        assert rep.count == 1
         assert rep.degree_estimate == -1
 
 
