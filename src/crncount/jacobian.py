@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .network import GeneralMonotone, MassAction, NetworkError, ReactionNetwork
 from .polynomial import (
-    CONCENTRATION,
     Indeterminate,
     Monomial,
     Polynomial,
@@ -28,8 +27,6 @@ from .polynomial import (
     mono_format,
     mono_gcd,
     mono_mul,
-    mono_restrict,
-    mono_sign,
     rate_constant,
 )
 
@@ -172,24 +169,26 @@ def sign_census(det: Polynomial, n: int) -> SignSummary:
     """
     reference = -1 if n % 2 else 1
     histogram: Dict[int, int] = {}
-    anomalous: List[AnomalousTerm] = []
+    anomalous: List[Tuple[int, int]] = []
     unknown = 0
-    for m, c in det.terms.items():
-        ms = mono_sign(m)
+    packed = det.packed
+    sign = packed.sign
+    for m, c in packed.coefficients.items():
+        ms = sign(m)
         if ms == 0:
             unknown += 1
             continue
         histogram[c] = histogram.get(c, 0) + 1
-        sign = ms * (1 if c > 0 else -1)
-        if sign == -reference:
-            anomalous.append(AnomalousTerm(m, c, mono_restrict(m, CONCENTRATION)))
-    anomalous.sort(key=lambda t: t.monomial)
+        if ms * c * reference < 0:
+            anomalous.append((m, c))
+    terms = [AnomalousTerm(packed.decode(m), c, packed.decode(packed.concentration(m))) for m, c in anomalous]
+    terms.sort(key=lambda t: t.monomial)
     return SignSummary(
         n=n,
         reference_sign=reference,
-        total_terms=len(det.terms),
+        total_terms=len(packed.coefficients),
         coefficient_histogram=histogram,
-        anomalous_terms=anomalous,
+        anomalous_terms=terms,
         unknown_sign_terms=unknown,
     )
 
@@ -203,6 +202,9 @@ class DominanceCondition:
     group's combined coefficient keeps the reference sign on the whole
     positive orthant.  In the sharp form (``quotient``/``bound`` set) any
     one of ``inequality`` and ``alternatives`` suffices on its own.
+    ``holds_at`` and ``holds_on`` test only the primary inequality: they
+    may miss a parameter set that only an alternative covers, but they
+    never give a false certificate.
     Groups with distinct concentration monomials are disjoint, so the
     primary inequalities of one census are jointly sufficient for a
     one-signed determinant.
@@ -263,19 +265,23 @@ def dominance_conditions(det: Polynomial, census: SignSummary) -> List[Dominance
     inequalities together certify one-signedness of the determinant.
     """
     reference = census.reference_sign
-    partners_by_conc: Dict[Monomial, List[Tuple[Monomial, int]]] = {}
-    for m, c in det.terms.items():
-        ms = mono_sign(m)
-        if ms != 0 and ms * (1 if c > 0 else -1) == reference:
-            partners_by_conc.setdefault(mono_restrict(m, CONCENTRATION), []).append((m, c))
-    anomalous_by_conc: Dict[Monomial, List[AnomalousTerm]] = {}
-    for term in census.anomalous_terms:
-        anomalous_by_conc.setdefault(term.concentration_part, []).append(term)
+    packed = det.packed
+    keys = [packed.encode(t.concentration_part) for t in census.anomalous_terms]
+    anomalous_by_key: Dict[int, List[AnomalousTerm]] = {}
+    for key, term in zip(keys, census.anomalous_terms):
+        anomalous_by_key.setdefault(key, []).append(term)
+    # Only the partners in an anomalous term's group are decoded.
+    partners_by_key: Dict[int, List[Tuple[Monomial, int]]] = {key: [] for key in anomalous_by_key}
+    sign, concentration = packed.sign, packed.concentration
+    for m, c in packed.coefficients.items():
+        partners = partners_by_key.get(concentration(m))
+        if partners is not None and sign(m) * c * reference > 0:
+            partners.append((packed.decode(m), c))
 
     conditions = []
-    for term in census.anomalous_terms:
-        partners = partners_by_conc.get(term.concentration_part, [])
-        co_anomalous = anomalous_by_conc[term.concentration_part]
+    for key, term in zip(keys, census.anomalous_terms):
+        partners = partners_by_key[key]
+        co_anomalous = anomalous_by_key[key]
         if not partners:
             conditions.append(DominanceCondition(term, False))
             continue
@@ -345,7 +351,8 @@ def census_report(net: ReactionNetwork, census: SignSummary, conditions: Sequenc
             for t in census.anomalous_terms
         ],
         "dominance_conditions": [
-            {"inequality": c.inequality, "covered": c.covered} for c in conditions
+            {"inequality": c.inequality, "covered": c.covered, "alternatives": c.alternatives}
+            for c in conditions
         ],
         "unknown_sign_terms": census.unknown_sign_terms,
     }

@@ -9,7 +9,7 @@ all operations are pure, so polynomials are safe to share concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 CONCENTRATION = 0
@@ -25,18 +25,30 @@ class DeterminantSizeError(ValueError):
     """Matrix dimension exceeds the configured expansion cap."""
 
 
-@dataclass(frozen=True, order=True)
-class Indeterminate:
+class Indeterminate(tuple):
     """A single symbol: kind, identifying key, declared sign, display name.
 
+    The symbol is the immutable tuple (kind, key, sign), so it hashes,
+    compares and sorts as that tuple, in C; the display ``name`` is not
+    part of its identity.
     The total order (kind, then key) fixes the canonical monomial form:
     concentrations come first, then rate constants, then kinetic partials.
     """
 
-    kind: int
-    key: tuple
-    sign: int = 1
-    name: str = field(compare=False, default="")
+    kind = property(itemgetter(0))
+    key = property(itemgetter(1))
+    sign = property(itemgetter(2))
+
+    def __new__(cls, kind: int, key: tuple, sign: int = 1, name: str = ""):
+        self = tuple.__new__(cls, (kind, key, sign))
+        object.__setattr__(self, "name", name)
+        return self
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to Indeterminate.{attr}")
+
+    def __getnewargs__(self):
+        return (*self, self.name)
 
     def __repr__(self):
         return self.name or f"Indeterminate({self.kind}, {self.key})"
@@ -110,23 +122,8 @@ def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
     return tuple((x, min(e, eb[x])) for x, e in a if x in eb and min(e, eb[x]) > 0)
 
 
-def mono_restrict(m: Monomial, kind: int) -> Monomial:
-    return tuple((x, e) for x, e in m if x.kind == kind)
-
-
 def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
-
-
-def mono_sign(m: Monomial) -> int:
-    """Pointwise sign of the monomial on its declared domain, 0 if unknown."""
-    sign = 1
-    for x, e in m:
-        if x.sign == SIGN_UNKNOWN:
-            return SIGN_UNKNOWN
-        if x.sign < 0 and e % 2:
-            sign = -sign
-    return sign
 
 
 def mono_format(m: Monomial) -> str:
@@ -135,13 +132,94 @@ def mono_format(m: Monomial) -> str:
     return "*".join(x.name if e == 1 else f"{x.name}^{e}" for x, e in m)
 
 
-class Polynomial:
-    """Immutable sparse polynomial: map from canonical monomial to nonzero int."""
+class PackedTerms:
+    """A polynomial's terms as packed exponent vectors (Monagan & Pearce, CASC 2007).
 
-    __slots__ = ("terms",)
+    Each monomial is one int with a bit field per indeterminate, laid out
+    in canonical order and wide enough for its largest exponent, so a
+    monomial product is one integer addition.  ``coefficients`` maps each
+    packed monomial to its nonzero coefficient.  A term's sign and
+    concentration part are integer masks; ``decode`` gives its canonical
+    tuple monomial, sharing one ``(x, e)`` pair per field and exponent
+    (a fresh pair per term would raise peak memory).
+    """
+
+    __slots__ = ("coefficients", "_shifts", "_decode", "_unknown", "_parity", "_concentration")
+
+    def __init__(self, fields: Sequence[Tuple[Indeterminate, int, int]]):
+        """``fields`` lists (indeterminate, shift, field of ones) in canonical order."""
+        self.coefficients: Dict[int, int] = {}
+        self._shifts = {x: shift for x, shift, _ in fields}
+        self._decode = [(x, shift, ones, {}) for x, shift, ones in fields]
+        self._unknown = self._parity = self._concentration = 0
+        for x, shift, ones in fields:
+            if x.sign == SIGN_UNKNOWN:
+                self._unknown |= ones << shift
+            elif x.sign < 0:
+                self._parity |= 1 << shift  # the exponent's low bit
+            if x.kind == CONCENTRATION:
+                self._concentration |= ones << shift
+
+    def encode(self, m: Monomial) -> int:
+        shifts = self._shifts
+        return sum(e << shifts[x] for x, e in m)
+
+    def decode(self, packed: int) -> Monomial:
+        mono = []
+        for x, shift, ones, pairs in self._decode:
+            e = (packed >> shift) & ones
+            if e:
+                mono.append(pairs.setdefault(e, (x, e)))
+        return tuple(mono)
+
+    def sign(self, packed: int) -> int:
+        """Pointwise sign of the monomial on its declared domain, 0 if unknown."""
+        if packed & self._unknown:
+            return SIGN_UNKNOWN
+        return -1 if (packed & self._parity).bit_count() & 1 else 1
+
+    def concentration(self, packed: int) -> int:
+        """The packed monomial's concentration part."""
+        return packed & self._concentration
+
+
+class Polynomial:
+    """Immutable sparse polynomial: map from canonical monomial to nonzero int.
+
+    A polynomial holds tuple-monomial ``terms``, or ``packed`` terms, or
+    both: each form is built from the other on first access.
+    """
+
+    __slots__ = ("_terms", "_packed")
 
     def __init__(self, terms: Optional[Mapping[Monomial, int]] = None):
-        self.terms: Dict[Monomial, int] = {m: c for m, c in (terms or {}).items() if c != 0}
+        self._terms: Optional[Dict[Monomial, int]] = {m: c for m, c in (terms or {}).items() if c != 0}
+        self._packed: Optional[PackedTerms] = None
+
+    @staticmethod
+    def _of(terms: Optional[Dict[Monomial, int]], packed: Optional[PackedTerms] = None) -> "Polynomial":
+        p = Polynomial.__new__(Polynomial)
+        p._terms = terms
+        p._packed = packed
+        return p
+
+    @property
+    def terms(self) -> Dict[Monomial, int]:
+        """Canonical monomial -> coefficient."""
+        if self._terms is None:
+            decode = self._packed.decode
+            self._terms = {decode(m): c for m, c in self._packed.coefficients.items()}
+        return self._terms
+
+    @property
+    def packed(self) -> PackedTerms:
+        """The terms as packed exponent vectors."""
+        if self._packed is None:
+            # The fields of a 1x1 matrix fit this polynomial's own exponents.
+            packed = PackedTerms(_exponent_fields([[self]]))
+            packed.coefficients = {packed.encode(m): c for m, c in self._terms.items()}
+            self._packed = packed
+        return self._packed
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -161,10 +239,10 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._packed.coefficients if self._terms is None else self._terms)
 
     def __iter__(self) -> Iterator[Tuple[Monomial, int]]:
         return iter(self.terms.items())
@@ -185,23 +263,17 @@ class Polynomial:
                 out[m] = s
             else:
                 out.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+        return Polynomial._of(out)
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Polynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
-            p = Polynomial.__new__(Polynomial)
-            p.terms = {m: c * other for m, c in self.terms.items()} if other else {}
-            return p
+            return Polynomial._of({m: c * other for m, c in self.terms.items()} if other else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
         out: Dict[Monomial, int] = {}
@@ -213,9 +285,7 @@ class Polynomial:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+        return Polynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -299,10 +369,10 @@ def determinant_expand(matrix: Sequence[Sequence[Polynomial]], max_dim: int = DE
     """Fully expanded determinant of a square polynomial matrix.
 
     Laplace expansion with dynamic programming over column subsets
-    (2^n states), exact integer arithmetic throughout.  Inside the
-    expansion each monomial is a packed exponent vector, one int with a
-    bit field per indeterminate (Monagan & Pearce, CASC 2007), so a
-    monomial product is one integer addition.
+    (2^n states), exact integer arithmetic throughout, on packed
+    exponent vectors (``PackedTerms``), so a monomial product is one
+    integer addition.  The result stays packed: ``len`` reads it as is,
+    and ``.terms`` decodes it on first access.
 
     Raises:
         ValueError: on a non-square or empty matrix.
@@ -314,18 +384,14 @@ def determinant_expand(matrix: Sequence[Sequence[Polynomial]], max_dim: int = DE
     if n > max_dim:
         raise DeterminantSizeError(f"matrix dimension {n} exceeds expansion cap {max_dim}")
 
-    fields = _exponent_fields(matrix)
-    shifts = {x: shift for x, shift, _ in fields}
-    row_terms = [
-        [{sum(e << shifts[x] for x, e in m): c for m, c in entry.terms.items()} for entry in row] for row in matrix
-    ]
+    packed = PackedTerms(_exponent_fields(matrix))
+    row_terms = [[{packed.encode(m): c for m, c in entry.terms.items()} for entry in row] for row in matrix]
     # Rows with fewer nonzero entries first keeps intermediate minors small.
     order = sorted(range(n), key=lambda i: sum(1 for t in row_terms[i] if t))
-    parity = _permutation_sign(order)
 
     # level[mask] = packed term map of the minor using the first k ordered
-    # rows and the columns in mask.
-    level: Dict[int, Dict[int, int]] = {0: {0: 1}}
+    # rows and the columns in mask, times the sign of the row order.
+    level: Dict[int, Dict[int, int]] = {0: {0: _permutation_sign(order)}}
     for k, i in enumerate(order):
         nxt: Dict[int, Dict[int, int]] = {}
         for mask, minor in level.items():
@@ -352,21 +418,8 @@ def determinant_expand(matrix: Sequence[Sequence[Polynomial]], max_dim: int = DE
                         else:
                             del acc[m]
         level = {mask: terms for mask, terms in nxt.items() if terms}
-
-    # Decode to canonical monomials, sharing one (x, e) pair object per
-    # field and exponent: a fresh pair per term would raise peak memory.
-    decode = [(x, shift, ones, {}) for x, shift, ones in fields]
-    det: Dict[Monomial, int] = {}
-    for packed, c in level.get((1 << n) - 1, {}).items():
-        mono = []
-        for x, shift, ones, pairs in decode:
-            e = (packed >> shift) & ones
-            if e:
-                mono.append(pairs.setdefault(e, (x, e)))
-        det[tuple(mono)] = c * parity
-    p = Polynomial.__new__(Polynomial)
-    p.terms = det
-    return p
+    packed.coefficients = level.get((1 << n) - 1, {})
+    return Polynomial._of(None, packed)
 
 
 def _exponent_fields(matrix: Sequence[Sequence[Polynomial]]) -> List[Tuple[Indeterminate, int, int]]:

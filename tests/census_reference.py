@@ -1,0 +1,127 @@
+"""The sign census on tuple monomials: the oracle for the packed census.
+
+``reference_sign_census`` and ``reference_dominance_conditions`` classify
+every term of ``det.terms`` one (indeterminate, exponent) pair at a time,
+as ``jacobian.sign_census`` and ``jacobian.dominance_conditions`` did
+before they read packed exponent vectors.  Tests require both forms to
+give equal summaries and conditions.
+"""
+
+from fractions import Fraction
+from typing import Dict, List, Tuple
+
+from crncount.dsl import parse_network
+from crncount.jacobian import AnomalousTerm, DominanceCondition, SignSummary, _quotient_inequality
+from crncount.polynomial import (
+    CONCENTRATION,
+    SIGN_UNKNOWN,
+    Monomial,
+    Polynomial,
+    mono_degree,
+    mono_div,
+    mono_divides,
+    mono_format,
+    mono_gcd,
+)
+
+
+def ring(n: int):
+    """Table-1 ring family on n = 2p - 1 species: S_i+S_{i+1} <-> X_i, S_p <-> 2S_1."""
+    pairs = (n + 1) // 2
+    lines = [f"S{i}+S{i + 1} <-> X{i}" for i in range(1, pairs)] + [f"S{pairs} <-> 2S1"]
+    return parse_network("\n".join(lines))
+
+
+def mono_restrict(m: Monomial, kind: int) -> Monomial:
+    return tuple((x, e) for x, e in m if x.kind == kind)
+
+
+def mono_sign(m: Monomial) -> int:
+    """Pointwise sign of the monomial on its declared domain, 0 if unknown."""
+    sign = 1
+    for x, e in m:
+        if x.sign == SIGN_UNKNOWN:
+            return SIGN_UNKNOWN
+        if x.sign < 0 and e % 2:
+            sign = -sign
+    return sign
+
+
+def reference_sign_census(det: Polynomial, n: int) -> SignSummary:
+    reference = -1 if n % 2 else 1
+    histogram: Dict[int, int] = {}
+    anomalous: List[AnomalousTerm] = []
+    unknown = 0
+    for m, c in det.terms.items():
+        ms = mono_sign(m)
+        if ms == 0:
+            unknown += 1
+            continue
+        histogram[c] = histogram.get(c, 0) + 1
+        sign = ms * (1 if c > 0 else -1)
+        if sign == -reference:
+            anomalous.append(AnomalousTerm(m, c, mono_restrict(m, CONCENTRATION)))
+    anomalous.sort(key=lambda t: t.monomial)
+    return SignSummary(
+        n=n,
+        reference_sign=reference,
+        total_terms=len(det.terms),
+        coefficient_histogram=histogram,
+        anomalous_terms=anomalous,
+        unknown_sign_terms=unknown,
+    )
+
+
+def reference_partners(det: Polynomial, reference: int) -> Dict[Monomial, List[Tuple[Monomial, int]]]:
+    """Every term of the reference sign, grouped by its concentration monomial."""
+    partners_by_conc: Dict[Monomial, List[Tuple[Monomial, int]]] = {}
+    for m, c in det.terms.items():
+        ms = mono_sign(m)
+        if ms != 0 and ms * (1 if c > 0 else -1) == reference:
+            partners_by_conc.setdefault(mono_restrict(m, CONCENTRATION), []).append((m, c))
+    return partners_by_conc
+
+
+def reference_dominance_conditions(det: Polynomial, census: SignSummary) -> List[DominanceCondition]:
+    partners_by_conc = reference_partners(det, census.reference_sign)
+    anomalous_by_conc: Dict[Monomial, List[AnomalousTerm]] = {}
+    for term in census.anomalous_terms:
+        anomalous_by_conc.setdefault(term.concentration_part, []).append(term)
+
+    conditions = []
+    for term in census.anomalous_terms:
+        partners = partners_by_conc.get(term.concentration_part, [])
+        co_anomalous = anomalous_by_conc[term.concentration_part]
+        if not partners:
+            conditions.append(DominanceCondition(term, False))
+            continue
+        single = sorted(
+            (
+                (mono_div(term.monomial, m), m, c)
+                for m, c in partners
+                if mono_divides(m, term.monomial) and len(mono_div(term.monomial, m)) == 1
+            ),
+            key=lambda qmc: (mono_degree(qmc[0]), qmc[0]),
+        )
+        if len(co_anomalous) == 1 and single:
+            quotient, _, c2 = single[0]
+            bound = Fraction(abs(c2), abs(term.coefficient))
+            alternatives = [
+                _quotient_inequality(q, Fraction(abs(c), abs(term.coefficient))) for q, _, c in single[1:]
+            ]
+            conditions.append(
+                DominanceCondition(term, True, _quotient_inequality(quotient, bound), quotient, bound, alternatives)
+            )
+        else:
+            involved = [(t.monomial, abs(t.coefficient)) for t in co_anomalous] + partners
+            g = involved[0][0]
+            for m2, _ in involved[1:]:
+                g = mono_gcd(g, m2)
+            lhs_terms = [(abs(t.coefficient), mono_div(t.monomial, g)) for t in co_anomalous]
+            rhs_terms = [(abs(c2), mono_div(m2, g)) for m2, c2 in sorted(partners)]
+            lhs = " + ".join(f"{c}*{mono_format(m)}" for c, m in lhs_terms)
+            rhs = " + ".join(f"{c}*{mono_format(m)}" for c, m in rhs_terms)
+            conditions.append(
+                DominanceCondition(term, True, f"{lhs} <= {rhs}", lhs_terms=lhs_terms, rhs_terms=rhs_terms)
+            )
+    return conditions

@@ -10,9 +10,9 @@ import pytest
 from crncount import cli
 from crncount.cli import main
 from crncount.conservation import conserved_mass_vector
-from crncount.dsl import parse_network
+from crncount.dsl import parse_network, serialize_network
 from crncount.fixtures import NETWORK_FIXTURES, fixture_network, mapk_cube, unit_cube
-from crncount.jacobian import build_general_jacobian, sign_census
+from crncount.jacobian import augmented_mass_action_jacobian, build_general_jacobian, sign_census
 from crncount.network import FlowAugmentation
 from crncount.numeric import (
     Equilibrium,
@@ -22,7 +22,9 @@ from crncount.numeric import (
     default_domain,
     numeric_system_from_network,
 )
-from crncount.polynomial import determinant_expand
+from crncount.polynomial import PackedTerms, determinant_expand
+
+from census_reference import reference_partners, reference_sign_census, ring
 
 
 def _run(capsys, *argv):
@@ -68,6 +70,43 @@ def test_census_general_kinetics(capsys):
     assert report["histogram"] == {"-1": 96, "-2": 40, "-3": 2}
 
 
+def test_census_reports_dominance_alternatives(capsys):
+    # The paper's condition for table1-v under general kinetics,
+    # K[B->C+D;B] <= 1, is one of the sharp form's alternatives, each
+    # sufficient on its own.
+    code, out, _ = _run(capsys, "census", "--fixture", "table1-v", "--kinetics", "general")
+    assert code == 2
+    assert json.loads(out)["dominance_conditions"] == [
+        {
+            "inequality": "K[A+B->F;A] <= 1",
+            "covered": True,
+            "alternatives": ["K[A+C->G;C] <= 1", "K[B->C+D;B] <= 1"],
+        }
+    ]
+
+
+def test_census_decodes_only_reported_terms(tmp_path, capsys, monkeypatch):
+    # The census classifies packed monomials.  On ring 13 (7173 terms) it
+    # decodes each anomalous term and its concentration part, and the
+    # partners in their groups; len() of the expansion decodes nothing.
+    net = ring(13)
+    det = determinant_expand(augmented_mass_action_jacobian(net))
+    census = reference_sign_census(det, net.n)
+    groups = reference_partners(det, census.reference_sign)
+    partners = sum(len(groups.get(key, [])) for key in {t.concentration_part for t in census.anomalous_terms})
+    decoded = []
+    decode = PackedTerms.decode
+    monkeypatch.setattr(PackedTerms, "decode", lambda self, m: decoded.append(m) or decode(self, m))
+    assert len(determinant_expand(augmented_mass_action_jacobian(net))) == 7173
+    assert decoded == []
+    f = tmp_path / "ring13.crn"
+    f.write_text(serialize_network(net))
+    code, out, _ = _run(capsys, "census", str(f))
+    assert code == 2
+    assert len(json.loads(out)["anomalous"]) == census.anomalous_count >= 1
+    assert 0 < len(decoded) <= 2 * census.anomalous_count + partners
+
+
 DECLARED_SIGNS = "A+B -> P ; kinetics=general deps=A,B signs=+A,-B\nP -> A+B ; kinetics=general\n"
 
 
@@ -105,7 +144,9 @@ def test_census_symbolic_outflows(capsys):
     assert len(report["anomalous"]) == 1
     assert report["uniqueness_certified"] is False
     # without the unit normalization the bound becomes the outflow constant
-    assert report["dominance_conditions"] == [{"inequality": "1*k[C->2A] <= 1*k[C->0]", "covered": True}]
+    assert report["dominance_conditions"] == [
+        {"inequality": "1*k[C->2A] <= 1*k[C->0]", "covered": True, "alternatives": []}
+    ]
 
 
 def test_census_rejects_network_files_with_flows(tmp_path, capsys):

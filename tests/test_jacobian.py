@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crncount.dsl import parse_network
+from crncount.fixtures import NETWORK_FIXTURES, fixture_network
 from crncount.jacobian import (
     augmented_mass_action_jacobian,
     build_general_jacobian,
@@ -23,6 +26,8 @@ from crncount.polynomial import (
     rate_constant,
     substitute,
 )
+
+from census_reference import reference_dominance_conditions, reference_sign_census, ring
 
 PV = Polynomial.variable
 NET_51 = "2A1 <-> A1+A2\nA1+A2 <-> 2A2\n2A2 <-> 2A1\n"
@@ -302,6 +307,82 @@ def test_census_report_shape():
     assert report["total_terms"] == 13
     assert report["histogram"] == {"-1": 12, "1": 1}
     assert report["anomalous"][0]["concentration_monomial"] == "c[B]*c[C]"
-    assert report["dominance_conditions"] == [{"inequality": "k[C->2A] <= 1", "covered": True}]
+    assert report["dominance_conditions"] == [
+        {"inequality": "k[C->2A] <= 1", "covered": True, "alternatives": []}
+    ]
     assert report["unknown_sign_terms"] == 0
     assert report["reference_sign"] == -1
+
+
+def _assert_census_matches_reference(det, n):
+    census = sign_census(det, n)
+    assert census == reference_sign_census(det, n)
+    assert dominance_conditions(det, census) == reference_dominance_conditions(det, census)
+    return census
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK_FIXTURES))
+def test_packed_census_matches_tuple_reference_on_fixtures(name):
+    net = fixture_network(name)
+    for outflow in ("unit", "symbolic"):
+        _assert_census_matches_reference(determinant_expand(augmented_mass_action_jacobian(net, outflow)), net.n)
+        J = build_general_jacobian(with_general_kinetics(net), outflow)
+        _assert_census_matches_reference(determinant_expand(J), net.n)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+def test_packed_census_matches_tuple_reference_on_ring_family(n):
+    for outflow in ("unit", "symbolic"):
+        _assert_census_matches_reference(determinant_expand(augmented_mass_action_jacobian(ring(n), outflow)), n)
+
+
+NEG = kinetic_partial("A+B->P", 1, "B", -1)
+UNK = kinetic_partial("A+B->P", 2, "C", 0)
+POS = kinetic_partial("A+B->P", 0, "A", +1)
+
+
+def test_packed_census_matches_tuple_reference_on_signed_partials():
+    # n = 1, reference -1.  A negative-sign partial flips a term's sign at
+    # odd exponents only; an unknown-sign one leaves the term unclassified
+    # at any exponent.  Group c[A] holds two anomalous terms (group form),
+    # group c[A]^2 one with two dividing partners (sharp form).
+    x, k = concentration(0, "A"), rate_constant("r")
+    det = (
+        -1 * PV(x) * PV(NEG)  # anomalous, odd exponent
+        + PV(x) * PV(NEG) ** 2 * PV(k)  # anomalous, even exponent
+        - PV(x) * PV(NEG) ** 2  # partner
+        - 2 * PV(x) * PV(k)  # partner
+        + 3 * PV(x) * PV(NEG) ** 3 * PV(k)  # partner, odd exponent
+        - PV(x) ** 2 * PV(NEG) ** 3  # anomalous
+        - 3 * PV(x) ** 2 * PV(NEG) ** 2  # partner, quotient K[A+B->P;B]
+        + PV(x) ** 2 * PV(NEG) * PV(POS)  # partner that does not divide it
+        + PV(x) ** 2 * PV(NEG)  # partner, quotient K[A+B->P;B]^2
+        + PV(UNK) ** 2 * PV(x)  # unknown sign
+        - PV(UNK) * PV(k)  # unknown sign
+        - PV(NEG) ** 4
+        - Polynomial.constant(1)
+    )
+    census = _assert_census_matches_reference(det, 1)
+    assert census.unknown_sign_terms == 2
+    assert census.anomalous_count == 3
+    group, _, sharp = sorted(dominance_conditions(det, census), key=lambda c: c.quotient is not None)
+    assert group.rhs_terms and group.quotient is None
+    assert sharp.inequality == "K[A+B->P;B] <= 3"
+    assert sharp.alternatives == ["K[A+B->P;B]^2 <= 1"]
+
+
+_TERMS = st.tuples(st.integers(-3, 3), st.lists(st.integers(0, 3), min_size=5, max_size=5))
+
+
+@given(st.lists(_TERMS, max_size=8), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_packed_census_matches_tuple_reference_on_arithmetic(terms, n):
+    # Polynomials built by arithmetic are packed on entry to the census.
+    pool = [concentration(0, "A"), concentration(1, "B"), rate_constant("r"), NEG, UNK]
+    det = Polynomial.zero()
+    for coeff, exponents in terms:
+        term = Polynomial.constant(coeff)
+        for x, e in zip(pool, exponents):
+            term = term * PV(x) ** e
+        det = det + term
+    _assert_census_matches_reference(det, n)

@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -12,11 +13,17 @@ from crncount.jacobian import (
     UNIT_OUTFLOW,
     augmented_mass_action_jacobian,
     build_general_jacobian,
+    dominance_conditions,
     outflow_constant,
+    sign_census,
 )
 from crncount.network import with_general_kinetics
 from crncount.polynomial import (
+    CONCENTRATION,
+    KINETIC_PARTIAL,
+    RATE_CONSTANT,
     DeterminantSizeError,
+    Indeterminate,
     Polynomial,
     _exponent_fields,
     _permutation_sign,
@@ -26,10 +33,11 @@ from crncount.polynomial import (
     evaluate,
     kinetic_partial,
     mono_mul,
-    mono_sign,
     rate_constant,
     substitute,
 )
+
+from census_reference import mono_sign, ring
 
 X = concentration(0, "x")
 Y = concentration(1, "y")
@@ -175,9 +183,17 @@ def test_monomial_sign_with_declared_signs():
     neg = kinetic_partial("A->B", 0, "A", -1)
     unk = kinetic_partial("A->B", 1, "B", 0)
     pos = kinetic_partial("A->B", 2, "C", +1)
-    assert mono_sign(((neg, 1), (pos, 1))) == -1
-    assert mono_sign(((neg, 2),)) == 1
-    assert mono_sign(((unk, 1), (pos, 1))) == 0
+    cases = {
+        ((neg, 1), (pos, 1)): -1,
+        ((neg, 2),): 1,
+        ((neg, 3), (pos, 2)): -1,
+        ((unk, 1), (pos, 1)): 0,
+        ((unk, 2),): 0,
+    }
+    packed = Polynomial({m: 1 for m in cases}).packed
+    for m, sign in cases.items():
+        assert mono_sign(m) == sign
+        assert packed.sign(packed.encode(m)) == sign
 
 
 def test_rendering_format():
@@ -186,6 +202,38 @@ def test_rendering_format():
     p = -1 * PV(k) * PV(b) + PV(b) * PV(b) * 2
     assert str(p) == "-1*c[B]*k[C->2A] + 2*c[B]^2"
     assert str(Polynomial.zero()) == "0"
+
+
+def test_indeterminate_identity_order_and_repr():
+    c0, c1 = concentration(0, "A"), concentration(1, "B")
+    k, k_out = rate_constant("C->2A"), outflow_constant("C")
+    K = kinetic_partial("C->2A", 2, "C", +1)
+    # Canonical order is (kind, key): concentrations, rate constants, partials.
+    assert sorted([K, k, c1, k_out, c0]) == [c0, c1, k_out, k, K]
+    assert (c0.kind, c0.key, c0.sign, c0.name) == (CONCENTRATION, (0,), 1, "c[A]")
+    # Equal iff kind, key and sign match; the display name is not identity.
+    assert K == kinetic_partial("C->2A", 2, "renamed", +1)
+    assert hash(K) == hash(kinetic_partial("C->2A", 2, "renamed", +1))
+    assert K != kinetic_partial("C->2A", 2, "C", -1)
+    assert K != kinetic_partial("C->2A", 1, "C", +1)
+    assert Indeterminate(RATE_CONSTANT, (0,), 1) != Indeterminate(CONCENTRATION, (0,), 1)
+    assert k_out == rate_constant("C->0")
+    assert [repr(x) for x in (c0, k, k_out, K)] == ["c[A]", "k[C->2A]", "k[C->0]", "K[C->2A;C]"]
+    assert repr(Indeterminate(KINETIC_PARTIAL, ("r", 3), 0)) == "Indeterminate(2, ('r', 3))"
+    assert [(y, y.name) for y in pickle.loads(pickle.dumps([c0, K]))] == [(c0, "c[A]"), (K, "K[C->2A;C]")]
+    with pytest.raises(AttributeError):
+        c0.name = "c[B]"
+    # Fresh symbols from the factories key holds_at's value maps.
+    net = parse_network("A+B -> P\nB+C -> Q\nC -> 2A\n")
+    det = determinant_expand(augmented_mass_action_jacobian(net, outflow=SYMBOLIC_OUTFLOW))
+    (cond,) = dominance_conditions(det, sign_census(det, net.n))
+    assert cond.holds_at({rate_constant("C->2A"): 0.5, outflow_constant("C"): 1.0})
+    assert not cond.holds_at({rate_constant("C->2A"): 2.0, outflow_constant("C"): 1.0})
+    general = fixture_network("table1-v")
+    det = determinant_expand(build_general_jacobian(with_general_kinetics(general)))
+    (cond,) = dominance_conditions(det, sign_census(det, general.n))
+    K_AF = kinetic_partial("A+B->F", general.names.index("A"), "A", +1)
+    assert cond.holds_at({K_AF: 0.5}) and not cond.holds_at({K_AF: 1.5})
 
 
 _pool = [concentration(0, "x"), concentration(1, "y"), rate_constant("r")]
@@ -248,13 +296,6 @@ def _reference_expand(matrix):
     return Polynomial(level.get((1 << n) - 1, {})) * _permutation_sign(order)
 
 
-def _ring(n):
-    """Table-1 ring family on n = 2p - 1 species: S_i+S_{i+1} <-> X_i, S_p <-> 2S_1."""
-    pairs = (n + 1) // 2
-    lines = [f"S{i}+S{i + 1} <-> X{i}" for i in range(1, pairs)] + [f"S{pairs} <-> 2S1"]
-    return parse_network("\n".join(lines))
-
-
 def _jacobian(net, kinetics, outflow):
     if kinetics == "general":
         return build_general_jacobian(with_general_kinetics(net), outflow=outflow)
@@ -278,7 +319,7 @@ def test_determinant_matches_reference_on_fixtures(name):
 # n=11 variants (mass-action only) and ring 13 at unit outflow.
 @pytest.mark.parametrize("n, outflow", [(11, UNIT_OUTFLOW), (11, SYMBOLIC_OUTFLOW), (13, UNIT_OUTFLOW)])
 def test_determinant_matches_reference_on_ring_family(n, outflow):
-    J = augmented_mass_action_jacobian(_ring(n), outflow=outflow)
+    J = augmented_mass_action_jacobian(ring(n), outflow=outflow)
     assert determinant_expand(J).terms == _reference_expand(J).terms
 
 
