@@ -54,7 +54,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         report, code = args.handler(args)
     except (ParseError, NetworkError, DeterminantSizeError, ValueError, KeyError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str(KeyError) quotes its message; print the message as written.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
     text = json.dumps(report, sort_keys=True, indent=2)
     print(text)
@@ -171,10 +173,11 @@ def _cmd_conserve(args):
 def _parse_bindings(pairs):
     out = {}
     for pair in pairs:
-        name, eq, value = pair.partition("=")
-        if not eq:
-            raise ValueError(f"--k expects NAME=VALUE, got {pair!r}")
-        out[name] = float(value)
+        name, _, value = pair.partition("=")
+        try:
+            out[name] = float(value)
+        except ValueError:
+            raise ValueError(f"--k expects NAME=VALUE with a numeric VALUE, got {pair!r}") from None
     return out
 
 

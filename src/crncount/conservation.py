@@ -9,10 +9,10 @@ mislabelled by floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .network import NetworkError, ReactionNetwork
@@ -38,7 +38,7 @@ class MassVector:
         return tuple(float(e) for e in self.entries)
 
     def render(self) -> List[str]:
-        return [str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}" for e in self.entries]
+        return [str(e) for e in self.entries]
 
 
 def conserved_mass_vector(net: ReactionNetwork) -> Optional[MassVector]:
@@ -51,8 +51,7 @@ def conserved_mass_vector(net: ReactionNetwork) -> Optional[MassVector]:
     # m = 1 + x with x >= 0:  sum_j v_j x_j = -sum_j v_j  for each reaction.
     rows = [[Fraction(v) for v in vec] for vec in vectors]
     rhs = [-sum(row) for row in rows]
-    objective = [Fraction(1)] * net.n
-    solution = _simplex_min(objective, rows, rhs)
+    solution = _simplex_min(rows, rhs)
     if solution is None:
         return None
     m = [Fraction(1) + x for x in solution]
@@ -96,68 +95,58 @@ def conservation_report(net: ReactionNetwork, candidate: Optional[Sequence] = No
 
 
 def _normalize(m: List[Fraction]) -> List[Fraction]:
-    lcm = 1
-    for x in m:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    lcm = math.lcm(*(x.denominator for x in m))
     ints = [int(x * lcm) for x in m]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return [Fraction(v) for v in ints]
+    g = math.gcd(*ints)
+    return [Fraction(v // g) for v in ints]
 
 
-def _simplex_min(c: List[Fraction], rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    """Minimise c.x subject to rows.x = rhs, x >= 0, exactly over Fractions.
+def _simplex_min(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
+    """Minimise sum(x) subject to rows.x = rhs, x >= 0, exactly over Fractions.
 
-    Two-phase dense tableau simplex with Bland's rule (no cycling).
-    Returns an optimal x, or None when infeasible.  Intended for the tiny
-    systems that arise here (tens of variables at most).
+    Two-phase dense tableau simplex with Bland's rule (no cycling).  The
+    last tableau row holds the reduced costs (its last entry is minus the
+    objective value) and is pivoted with the constraint rows.  Returns an
+    optimal x, or None when infeasible.  Intended for the tiny systems that
+    arise here (tens of variables at most).
     """
-    n = len(c)
+    n, m = len(rows[0]), len(rows)
     # Make rhs nonnegative, then add one artificial variable per row.
-    A = [list(row) for row in rows]
-    b = list(rhs)
-    for i in range(len(A)):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-    m = len(A)
-    tableau = [A[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
+    tableau = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        s = -1 if b < 0 else 1
+        tableau.append([s * v for v in row] + [Fraction(int(j == i)) for j in range(m)] + [s * b])
+    basis = list(range(n, n + m))
+
+    def price(cost: List[int]):
+        # Every basic variable costs 1 in both phases (the artificials, then
+        # every x_j), so the reduced costs are cost minus every row.
+        tableau.append([c - sum(col) for c, col in zip(cost, zip(*tableau))])
 
     def pivot(row: int, col: int):
         piv = tableau[row][col]
         tableau[row] = [v / piv for v in tableau[row]]
-        for r in range(len(tableau)):
-            if r != row and tableau[r][col] != 0:
-                f = tableau[r][col]
-                tableau[r] = [a - f * p for a, p in zip(tableau[r], tableau[row])]
+        for r, other in enumerate(tableau):
+            f = other[col]
+            if r != row and f != 0:
+                tableau[r] = [a - f * p if p else a for a, p in zip(other, tableau[row])]
         basis[row] = col
 
-    def solve_phase(cost: List[Fraction]) -> Fraction:
-        width = len(tableau[0]) - 1
+    def solve_phase():
         while True:
-            y = [cost[basis[r]] for r in range(len(tableau))]
-            entering = None
-            for j in range(width):
-                if cost[j] - sum(y[r] * tableau[r][j] for r in range(len(tableau))) < 0:
-                    entering = j
-                    break
+            cost = tableau[-1]
+            entering = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
             if entering is None:
-                return sum(y[r] * tableau[r][width] for r in range(len(tableau)))
-            ratios = [
-                (tableau[r][width] / tableau[r][entering], basis[r], r)
-                for r in range(len(tableau))
-                if tableau[r][entering] > 0
-            ]
-            if not ratios:
-                raise ArithmeticError("unbounded linear program")
-            _, _, row = min(ratios)
-            pivot(row, entering)
+                return
+            # zip(basis, tableau) stops before the cost row.  Both objectives
+            # are bounded below by 0, so some row qualifies; a ratio tie goes
+            # to the smallest basic index.
+            ratios = [(row[-1] / row[entering], b, r) for r, (b, row) in enumerate(zip(basis, tableau)) if row[entering] > 0]
+            pivot(min(ratios)[2], entering)
 
-    if solve_phase([Fraction(0)] * n + [Fraction(1)] * m) != 0:
+    price([0] * n + [1] * m + [0])
+    solve_phase()
+    if tableau.pop()[-1] != 0:
         return None
     # Drive leftover artificial variables out of the basis; rows where that
     # is impossible are redundant constraints and can be dropped.
@@ -166,11 +155,12 @@ def _simplex_min(c: List[Fraction], rows: List[List[Fraction]], rhs: List[Fracti
             col = next((j for j in range(n) if tableau[r][j] != 0), None)
             if col is not None:
                 pivot(r, col)
-    keep = [r for r in range(len(tableau)) if basis[r] < n]
+    keep = [r for r in range(m) if basis[r] < n]
     tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
     basis = [basis[r] for r in keep]
-    solve_phase(list(c))
+    price([1] * n + [0])
+    solve_phase()
     x = [Fraction(0)] * n
-    for r in range(len(tableau)):
-        x[basis[r]] = tableau[r][n]
+    for b, row in zip(basis, tableau):
+        x[b] = row[-1]
     return x

@@ -50,8 +50,8 @@ def parse_network(text: str) -> ReactionNetwork:
 
     Raises:
         ParseError: on syntax errors, ``y -> y`` reactions, flow
-            reactions, zero or negative stoichiometric coefficients,
-            unknown annotations, or an input with no reactions.
+            reactions, zero, negative or over-32-bit stoichiometric
+            coefficients, unknown annotations, or an input with no reactions.
     """
     species_order: List[str] = []
     species_index: Dict[str, int] = {}
@@ -110,12 +110,12 @@ def parse_network(text: str) -> ReactionNetwork:
     species = tuple(Species(name, i) for i, name in enumerate(names))
     reactions = []
     for lineno, src_map, tgt_map, ann in raw:
-        source = Complex.from_dict(src_map)
-        target = Complex.from_dict(tgt_map)
-        if source == target:
-            raise ParseError(lineno, "reaction of form y -> y")
-        kinetics = _build_kinetics(lineno, ann, source, species_index)
         try:
+            source = Complex.from_dict(src_map)
+            target = Complex.from_dict(tgt_map)
+            if source == target:
+                raise ParseError(lineno, "reaction of form y -> y")
+            kinetics = _build_kinetics(lineno, ann, source, species_index)
             reactions.append(make_reaction(source, target, kinetics, names))
         except NetworkError as exc:
             raise ParseError(lineno, str(exc)) from exc

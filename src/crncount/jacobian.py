@@ -320,7 +320,7 @@ def dominance_conditions(det: Polynomial, census: SignSummary) -> List[Dominance
 
 
 def _quotient_inequality(quotient: Monomial, bound: Fraction) -> str:
-    return f"{mono_format(quotient)} <= {_render_fraction(bound)}"
+    return f"{mono_format(quotient)} <= {bound}"
 
 
 def _mono_value(m: Monomial, values) -> float:
@@ -328,10 +328,6 @@ def _mono_value(m: Monomial, values) -> float:
     for x, e in m:
         v *= values[x] ** e
     return v
-
-
-def _render_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def census_report(net: ReactionNetwork, census: SignSummary, conditions: Sequence[DominanceCondition]) -> dict:

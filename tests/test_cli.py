@@ -11,7 +11,7 @@ from crncount import cli
 from crncount.cli import main
 from crncount.conservation import conserved_mass_vector
 from crncount.dsl import parse_network, serialize_network
-from crncount.fixtures import NETWORK_FIXTURES, fixture_network, mapk_cube, unit_cube
+from crncount.fixtures import NETWORK_FIXTURES, fixture_names, fixture_network, mapk_cube, unit_cube
 from crncount.jacobian import augmented_mass_action_jacobian, build_general_jacobian, sign_census
 from crncount.network import FlowAugmentation
 from crncount.numeric import (
@@ -281,7 +281,13 @@ def test_json_flag_writes_file(tmp_path, capsys):
 def test_unknown_fixture_exits_one(capsys):
     code, _, err = _run(capsys, "census", "--fixture", "nope")
     assert code == 1
-    assert "unknown network fixture" in err
+    assert err == f"error: unknown network fixture 'nope' (have: {', '.join(fixture_names())})\n"
+
+
+def test_non_numeric_rate_binding_exits_one(capsys):
+    code, out, err = _run(capsys, "count", "--fixture", "example-6.1", "--k", "C->2A=abc")
+    assert (code, out) == (1, "")
+    assert err == "error: --k expects NAME=VALUE with a numeric VALUE, got 'C->2A=abc'\n"
 
 
 def test_numeric_fixture_rejected_for_census(capsys):

@@ -4,9 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crncount.conservation import MassVector, MassVerdict, check_mass_vector, conservation_report, conserved_mass_vector
+from crncount.conservation import (
+    MassVector,
+    MassVerdict,
+    _normalize,
+    _simplex_min,
+    check_mass_vector,
+    conservation_report,
+    conserved_mass_vector,
+)
 from crncount.dsl import ParseError, parse_network
+from crncount.fixtures import NETWORK_FIXTURES, fixture_network
 from crncount.network import NetworkError
+
+from census_reference import ring
+from conservation_reference import reference_normalize, reference_simplex_min
 
 NET_61 = "A+B -> P\nB+C -> Q\nC -> 2A\n"
 NET_T2 = "A+B <-> P\nB+C <-> Q\nC+D <-> R\nD <-> 2A\n"
@@ -122,3 +134,104 @@ def test_conservation_report_json():
     }
     report2 = conservation_report(parse_network("A -> 2A\n"))
     assert report2 == {"conservative": False, "mass_vector": None}
+
+
+def test_mass_vector_renders_fractions():
+    assert MassVector((Fraction(3), Fraction(1, 2), Fraction(7, 3))).render() == ["3", "1/2", "7/3"]
+
+
+# The simplex pivots its reduced-cost row with the tableau; the reference
+# re-prices every column at every step.  Both follow Bland's rule over exact
+# Fractions, so they must take the same pivots and return the same x.
+
+
+def _mass_system(vectors):
+    """conserved_mass_vector's program: m = 1 + x, so rows.x = -rows.1."""
+    rows = [[Fraction(int(v)) for v in vec] for vec in vectors]
+    return rows, [-sum(row) for row in rows]
+
+
+def _assert_matches_reference(vectors):
+    rows, rhs = _mass_system(vectors)
+    x = _simplex_min(rows, rhs)
+    assert x == reference_simplex_min([Fraction(1)] * len(rows[0]), rows, rhs)
+    if x is not None:
+        m = [1 + v for v in x]
+        assert _normalize(m) == reference_normalize(m)
+    return x
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK_FIXTURES))
+def test_simplex_matches_reference_on_fixtures(name):
+    net = fixture_network(name)
+    x = _assert_matches_reference([r.reaction_vector(net.n) for r in net.reactions])
+    assert (x is None) == (conserved_mass_vector(net) is None)
+
+
+@pytest.mark.parametrize("n", range(5, 17, 2))
+def test_simplex_matches_reference_on_rings(n):
+    net = ring(n)
+    assert _assert_matches_reference([r.reaction_vector(net.n) for r in net.reactions]) is not None
+
+
+def test_simplex_breaks_ratio_ties_like_reference():
+    # Programs with several optimal vertices, where a ratio tie broken
+    # toward the largest basic index ends at another optimal x.
+    programs = [
+        ([[2, 1, 1, 0, -1], [2, 1, 2, 1, -1], [1, 1, -1, -1, 1]], [1, 2, 1]),
+        ([[-1, -1, 0, 2, 2], [1, 0, 0, 2, 0], [2, 1, -1, 1, -1]], [2, 1, 2]),
+        ([[1, -1, 0, 1, 1], [1, 1, 0, -1, -1], [2, -1, 0, 1, 2], [1, 1, 1, 1, -1]], [1, 0, 2, 1]),
+    ]
+    for rows, rhs in programs:
+        rows = [[Fraction(v) for v in row] for row in rows]
+        rhs = [Fraction(v) for v in rhs]
+        assert _simplex_min(rows, rhs) == reference_simplex_min([Fraction(1)] * len(rows[0]), rows, rhs)
+
+
+def _random_stoichiometry(rng, conservative):
+    """Nonzero integer reaction vectors on 2-7 species.
+
+    A conservative system combines vectors m_j e_i - m_i e_j, each orthogonal
+    to a drawn m > 0.  Either kind may gain the reverse of a row (a
+    reversible pair) and the sum of two rows (a linearly dependent row).
+    """
+    n = int(rng.integers(2, 8))
+    m = rng.integers(1, 5, size=n)
+    vectors = []
+    while len(vectors) < int(rng.integers(1, n + 2)):
+        if conservative:
+            v = np.zeros(n, dtype=int)
+            for _ in range(int(rng.integers(1, 3))):
+                i, j = rng.choice(n, size=2, replace=False)
+                c = int(rng.choice([-2, -1, 1, 2]))
+                v[i] += c * m[j]
+                v[j] -= c * m[i]
+        else:
+            v = rng.integers(-2, 3, size=n)
+        if v.any():
+            vectors.append(v)
+    if rng.random() < 0.5:
+        vectors.append(-vectors[int(rng.integers(len(vectors)))])
+    if len(vectors) > 1 and rng.random() < 0.5:
+        i, j = rng.choice(len(vectors), size=2, replace=False)
+        if (vectors[i] + vectors[j]).any():
+            vectors.append(vectors[i] + vectors[j])
+    rng.shuffle(vectors)
+    return vectors
+
+
+def test_simplex_matches_reference_on_random_stoichiometries():
+    rng = np.random.default_rng(14)
+    feasible = dependent = 0
+    for trial in range(1200):
+        conservative = trial % 4 == 0  # 300 conservative by construction
+        vectors = _random_stoichiometry(rng, conservative)
+        x = _assert_matches_reference(vectors)
+        assert x is not None or not conservative
+        if x is not None:
+            feasible += 1
+            # Rank below the row count leaves an artificial basic at zero
+            # after phase 1: the drive-out runs and a redundant row is dropped.
+            dependent += np.linalg.matrix_rank(np.array(vectors, dtype=float)) < len(vectors)
+    assert feasible >= 400 and 1200 - feasible >= 200
+    assert dependent >= 200

@@ -53,6 +53,14 @@ def test_zero_coefficient_rejected():
         parse_network("0A -> B\n")
 
 
+def test_coefficient_beyond_32_bits_reports_line_number():
+    with pytest.raises(ParseError) as err:
+        parse_network("A + 3000000000B -> C\n")
+    assert str(err.value) == "line 1: stoichiometric coefficient 3000000000 exceeds 32-bit range"
+    with pytest.raises(ParseError, match="^line 2: stoichiometric coefficient 2147483648 "):
+        parse_network("A -> B\nB <-> 2147483648C\n")
+
+
 def test_missing_arrow_rejected():
     with pytest.raises(ParseError, match="arrow"):
         parse_network("A + B\n")
