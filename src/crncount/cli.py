@@ -136,6 +136,14 @@ def _parse_vector(text: str, n: int, what: str):
     return tuple(values)
 
 
+def _parse_fractions(text: str, option: str) -> List[Fraction]:
+    """An exact comma-separated vector given to ``option``."""
+    try:
+        return [Fraction(part) for part in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad {option} value {text!r}") from None
+
+
 def _cmd_census(args):
     net = _load_network(args)
     outflow_mode = {"1": "unit", "unit": "unit", "symbolic": "symbolic"}.get(args.outflow)
@@ -165,7 +173,7 @@ def _cmd_conserve(args):
     net = _load_network(args)
     candidate = None
     if args.check:
-        candidate = [Fraction(part) for part in args.check.split(",")]
+        candidate = _parse_fractions(args.check, "--check")
     report = conservation_report(net, candidate)
     return report, EXIT_OK
 
@@ -227,7 +235,7 @@ def _cmd_count(args):
             raise ValueError(f"--k names no rate constant left unbound by the network: {', '.join(sorted(unknown))}")
         sys_ = numeric_system_from_network(net, bindings, flows)
         if args.mass:
-            m = [Fraction(p) for p in args.mass.split(",")]
+            m = _parse_fractions(args.mass, "--mass")
             verdict = check_mass_vector(net, m)
             if verdict.value == "neither":
                 raise NetworkError("--mass vector is neither conserved nor dissipating for this network")

@@ -4,7 +4,8 @@
 every term of ``det.terms`` one (indeterminate, exponent) pair at a time,
 as ``jacobian.sign_census`` and ``jacobian.dominance_conditions`` did
 before they read packed exponent vectors.  Tests require both forms to
-give equal summaries and conditions.
+give equal summaries and conditions.  ``dp_level_masks`` counts the
+states of ``determinant_expand``'s subset DP from the nonzero pattern.
 """
 
 from fractions import Fraction
@@ -30,6 +31,29 @@ def ring(n: int):
     pairs = (n + 1) // 2
     lines = [f"S{i}+S{i + 1} <-> X{i}" for i in range(1, pairs)] + [f"S{pairs} <-> 2S1"]
     return parse_network("\n".join(lines))
+
+
+def dp_level_masks(supports: List[int], order: List[int]) -> List[int]:
+    """How many column masks each level of determinant_expand's subset DP holds.
+
+    ``supports`` gives each row's nonzero columns as a bit mask.  Level k
+    holds every mask that the first k rows of ``order`` can fill, one
+    nonzero column per row, and that contains each column no later row
+    touches.  The pattern alone decides this; a minor that cancels to zero
+    only removes a mask, so the kernel's levels are never larger.
+    """
+    full = (1 << len(supports)) - 1
+    level = {0}
+    sizes = []
+    for k, i in enumerate(order):
+        later = 0
+        for r in order[k + 1 :]:
+            later |= supports[r]
+        need = full & ~later
+        bits = [1 << j for j in range(len(supports)) if supports[i] >> j & 1]
+        level = {mask | bit for mask in level for bit in bits if not mask & bit and (mask | bit) & need == need}
+        sizes.append(len(level))
+    return sizes
 
 
 def mono_restrict(m: Monomial, kind: int) -> Monomial:

@@ -290,6 +290,21 @@ def test_non_numeric_rate_binding_exits_one(capsys):
     assert err == "error: --k expects NAME=VALUE with a numeric VALUE, got 'C->2A=abc'\n"
 
 
+# The exact-vector options, each with a run that reaches its parse.
+VECTOR_OPTIONS = {
+    "--check": ("conserve", "--fixture", "example-6.1"),
+    "--mass": ("count", "--fixture", "example-6.1", "--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=0.5"),
+}
+
+
+@pytest.mark.parametrize("vector", ["1,a,1,1,1", "1,1/0,1,1,1"])
+@pytest.mark.parametrize("option", sorted(VECTOR_OPTIONS))
+def test_bad_mass_vector_exits_one_naming_option(capsys, option, vector):
+    code, out, err = _run(capsys, *VECTOR_OPTIONS[option], option, vector)
+    assert (code, out) == (1, "")
+    assert err == f"error: bad {option} value {vector!r}\n"
+
+
 def test_numeric_fixture_rejected_for_census(capsys):
     code, _, err = _run(capsys, "census", "--fixture", "mapk-thron")
     assert code == 1

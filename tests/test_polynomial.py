@@ -1,4 +1,5 @@
 import pickle
+import random
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crncount import polynomial
 from crncount.dsl import parse_network
 from crncount.fixtures import NETWORK_FIXTURES, fixture_network
 from crncount.jacobian import (
@@ -26,6 +28,7 @@ from crncount.polynomial import (
     Indeterminate,
     Polynomial,
     _exponent_fields,
+    _frontier_order,
     _permutation_sign,
     concentration,
     determinant_expand,
@@ -37,7 +40,7 @@ from crncount.polynomial import (
     substitute,
 )
 
-from census_reference import mono_sign, ring
+from census_reference import dp_level_masks, mono_sign, ring
 
 X = concentration(0, "x")
 Y = concentration(1, "y")
@@ -323,6 +326,61 @@ def test_determinant_matches_reference_on_ring_family(n, outflow):
     assert determinant_expand(J).terms == _reference_expand(J).terms
 
 
+def _supports(matrix):
+    return [sum(1 << j for j, entry in enumerate(row) if not entry.is_zero) for row in matrix]
+
+
+def _fewest_nonzeros_order(supports):
+    """The row order determinant_expand took before its frontier order."""
+    return sorted(range(len(supports)), key=lambda i: supports[i].bit_count())
+
+
+def _assert_order_independent(J, monkeypatch, seed):
+    """determinant_expand gives the same packed terms under the fewest-nonzeros
+    row order and under 5 seeded shuffles as under the frontier order."""
+    det = determinant_expand(J).packed.coefficients
+    supports = _supports(J)
+    n = len(J)
+    rng = random.Random(seed)
+    orders = [_fewest_nonzeros_order(supports)] + [rng.sample(range(n), n) for _ in range(5)]
+    for order in orders:
+        monkeypatch.setattr(polynomial, "_frontier_order", lambda _, order=order: order)
+        assert determinant_expand(J).packed.coefficients == det, order
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK_FIXTURES))
+def test_determinant_is_independent_of_row_order_on_fixtures(name, monkeypatch):
+    net = fixture_network(name)
+    for kinetics in ("mass-action", "general"):
+        for outflow in BOTH_OUTFLOWS:
+            _assert_order_independent(_jacobian(net, kinetics, outflow), monkeypatch, seed=net.n)
+
+
+@pytest.mark.parametrize("n", [11, 13])
+def test_determinant_is_independent_of_row_order_on_ring_family(n, monkeypatch):
+    for kinetics in ("mass-action", "general"):
+        for outflow in BOTH_OUTFLOWS:
+            _assert_order_independent(_jacobian(ring(n), kinetics, outflow), monkeypatch, seed=n)
+
+
+def test_frontier_order_breaks_ties_by_nonzeros_then_index():
+    # Fewest new columns first: row 2, then rows 0 and 1 each add two.
+    # Row 1 has fewer nonzeros, so it goes before row 0.
+    assert _frontier_order([0b0111, 0b0011, 0b0100]) == [2, 1, 0]
+    # Rows 0 and 3 tie on both counts, so the lower index goes first.
+    assert _frontier_order([0b0011, 0b1000, 0b1100, 0b0011]) == [1, 2, 0, 3]
+
+
+# Ring 13/15/17 under the fewest-nonzeros order held 553/1451/3802 masks in
+# one level; the frontier order holds 24 at each n.
+@pytest.mark.parametrize("n, bound", [(13, 150), (15, 200), (17, 250)])
+def test_frontier_order_bounds_dp_levels_on_ring_family(n, bound):
+    supports = _supports(augmented_mass_action_jacobian(ring(n)))
+    assert max(dp_level_masks(supports, _fewest_nonzeros_order(supports))) > bound
+    assert max(dp_level_masks(supports, _frontier_order(supports))) <= bound
+
+
 def _power(x, e):
     return Polynomial.term(1, ((x, e),))
 
@@ -409,9 +467,10 @@ def _cauchy_binet(net, outflow):
 
 
 # Every network fixture is mass-action; table1-i, ii, iii are the rings n=5, 7, 9.
-@pytest.mark.parametrize("name", sorted(NETWORK_FIXTURES))
+# Ring 11 is the largest ring this oracle expands in about a second.
+@pytest.mark.parametrize("name", [*sorted(NETWORK_FIXTURES), "ring-11"])
 def test_determinant_matches_cauchy_binet(name):
-    net = fixture_network(name)
+    net = ring(11) if name == "ring-11" else fixture_network(name)
     for outflow in BOTH_OUTFLOWS:
         J = augmented_mass_action_jacobian(net, outflow=outflow)
         assert determinant_expand(J).terms == _cauchy_binet(net, outflow), outflow
