@@ -2,7 +2,12 @@
 degree estimation, bounded domains, and sampled boundary audits.
 
 Network-derived systems are mass-action, hence polynomial; general
-monotone kinetics enter the sign census only.
+monotone kinetics enter the sign census only.  A network is compiled once
+into a ``MassActionField``, whose rates are products of gathered factors
+(c_A*c_A for a source 2A).  Every system has one evaluation,
+``NumericSystem.evaluate``: it gives f and, for the rows that need it, J
+from the same rates, so the Newton kernel evaluates each line-search trial
+once and the homotopy each corrector iterate once.
 
 The audits check by sampling that f has no zeros on a domain boundary.
 They serve custom systems.  ``crn count`` samples nothing: it states a
@@ -54,11 +59,20 @@ class NumericSystem:
     carry the decomposition f(c) = c_in - outflow*c + g(c), with ``g``
     under the same contract, which the homotopy and ``boundary_audit``
     need and check for on entry; standalone fixtures may leave the flow
-    fields as None, and then ``f_lambda``/``jac_lambda`` must not be
+    fields as None, and then ``f_lambda``/``evaluate_lambda`` must not be
     called.  ``g_magnitude``, where given, maps c to the term-wise
     magnitudes of g, |V|^T (k * c^Y) for a network, and makes the homotopy
-    corrector's tolerance scale-aware (``lambda_scale``).  Evaluators must
-    be pure.
+    corrector's tolerance scale-aware.  Evaluators must be pure.
+
+    ``evaluate(c)`` is the one evaluation the Newton kernels call.  It
+    returns (f(c), jacobian), where ``jacobian(rows)`` is jac(c[rows])
+    (all of c by default), taken from the same evaluation; so a kernel
+    forms J only for the rows that need it, such as the trial points a
+    line search accepts.  With ``terms=True`` it also returns g(c) and
+    g_magnitude(c) (None without ``g_magnitude``).  A network system's
+    ``evaluator`` is its compiled ``MassActionField``, which computes the
+    rates once for all of them; without one, the evaluation is built from
+    ``f``, ``jac``, ``g`` and ``g_magnitude``.
     """
 
     n: int
@@ -69,21 +83,37 @@ class NumericSystem:
     outflow: Optional[np.ndarray] = None
     provenance: str = "custom"
     g_magnitude: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    evaluator: Optional[Callable[..., tuple]] = None
+
+    def evaluate(self, c: np.ndarray, terms: bool = False) -> tuple:
+        """(f(c), jacobian), and with ``terms`` also (g(c), g_magnitude(c)),
+        from one evaluation at the points c."""
+        if self.evaluator is not None:
+            return self.evaluator(c, terms)
+
+        def jacobian(rows=slice(None)):
+            # A constant Jacobian given as one (n, n) matrix serves a whole stack.
+            J, shape = self.jac(c[rows]), np.shape(c[rows]) + (self.n,)
+            return J if np.shape(J) == shape else np.broadcast_to(J, shape).copy()
+
+        out = self.f(c), jacobian
+        if not terms:
+            return out
+        return out + (self.g(c), None if self.g_magnitude is None else self.g_magnitude(c))
 
     def f_lambda(self, c: np.ndarray, lam: float) -> np.ndarray:
         """Homotopy family c_in - outflow*c + lam * g(c)."""
         return self.c_in - self.outflow * c + lam * self.g(c)
 
-    def lambda_scale(self, c: np.ndarray, lam: float) -> Optional[float]:
-        """Norm of the term-wise magnitudes of f_lambda at c,
-        ||c_in + outflow*c + lam * g_magnitude(c)||, or None without
-        ``g_magnitude``."""
-        if self.g_magnitude is None:
-            return None
-        return float(np.linalg.norm(self.c_in + self.outflow * c + lam * self.g_magnitude(c)))
-
-    def jac_lambda(self, c: np.ndarray, lam: float) -> np.ndarray:
-        return lam * (self.jac(c) + self._outflow_diag) - self._outflow_diag
+    def evaluate_lambda(self, c: np.ndarray, lam: float) -> tuple:
+        """f_lambda, its Jacobian J_lambda = lam*(J + diag(outflow)) -
+        diag(outflow) and g at c, and the term-wise magnitudes of f_lambda,
+        c_in + outflow*c + lam*g_magnitude(c) (None without
+        ``g_magnitude``), all from one ``evaluate``."""
+        _, jacobian, g, g_mag = self.evaluate(c, terms=True)
+        J, D = jacobian(), self._outflow_diag
+        magnitudes = None if g_mag is None else self.c_in + self.outflow * c + lam * g_mag
+        return self.c_in - self.outflow * c + lam * g, lam * (J + D) - D, g, magnitudes
 
     @cached_property
     def _outflow_diag(self) -> np.ndarray:
@@ -121,6 +151,63 @@ def flow_system(
     return NumericSystem(n, f, jac, g=g, c_in=c_in, outflow=outflow, provenance=provenance, g_magnitude=g_magnitude)
 
 
+class MassActionField:
+    """A flow-augmented mass-action network bound to numbers, compiled once
+    for evaluation on stacks of points (..., n).
+
+    The record holds the rate constants ``k`` (R,), the source factor
+    indices ``factors`` (R, d), the reaction vectors ``V`` (R, n) and
+    ``abs_V`` = |V|, ``c_in`` and ``outflow``.  Row r of ``factors`` lists
+    the species of reaction r's source, each as often as its coefficient
+    and in species order, padded with n, the index of a constant 1; so a
+    rate k_r * prod(c^Y_r) is k_r times a product of d gathered factors
+    (c_A*c_A for a source 2A), not a power of every species.
+
+    A call computes the rates once and returns f = c_in - outflow*c + g,
+    with g = rates @ V, and the Jacobian J = V^T (rate * Y / c) -
+    diag(outflow) of any rows, from those rates (the ``evaluate`` contract
+    of NumericSystem); with ``terms=True`` it also returns g and its
+    term-wise magnitudes rates @ |V|.
+    """
+
+    def __init__(self, k: Sequence[float], sources: Sequence[Sequence[int]], vectors, flows: FlowAugmentation):
+        self.k = np.array(k, dtype=float)
+        self.Y = np.array(sources, dtype=float)
+        self.V = np.array(vectors, dtype=float)
+        self.abs_V = np.abs(self.V)
+        n = self.Y.shape[1]
+        rows = [[j for j, e in enumerate(y) for _ in range(e)] for y in sources]
+        order = max(1, max(map(len, rows)))
+        self.factors = np.array([row + [n] * (order - len(row)) for row in rows])
+        self.c_in = np.array(flows.inflow, dtype=float)
+        self.outflow = np.array(flows.outflow, dtype=float)
+        self._outflow_diag = np.diag(self.outflow)
+
+    def rates(self, c: np.ndarray) -> np.ndarray:
+        """k * prod(c^Y) per reaction, shape (..., R)."""
+        padded = np.concatenate([c, np.ones(np.shape(c)[:-1] + (1,))], axis=-1)
+        product = padded[..., self.factors[:, 0]]
+        for column in self.factors.T[1:]:
+            product = product * padded[..., column]
+        return self.k * product
+
+    def g(self, c: np.ndarray) -> np.ndarray:
+        return self.rates(c) @ self.V
+
+    def g_magnitude(self, c: np.ndarray) -> np.ndarray:
+        return self.rates(c) @ self.abs_V
+
+    def __call__(self, c: np.ndarray, terms: bool = False) -> tuple:
+        rates = self.rates(c)
+        g = rates @ self.V
+
+        def jacobian(rows=slice(None)):
+            return self.V.T @ (rates[rows][..., :, None] * self.Y / c[rows][..., None, :]) - self._outflow_diag
+
+        f = self.c_in - self.outflow * c + g
+        return (f, jacobian, g, rates @ self.abs_V) if terms else (f, jacobian)
+
+
 def numeric_system_from_network(
     net: ReactionNetwork,
     rate_constants: Optional[Dict[str, float]],
@@ -129,10 +216,11 @@ def numeric_system_from_network(
     """Bind a mass-action network to numbers and augment it with ``flows``.
 
     Every reaction needs a numeric rate constant, either on the reaction
-    itself or in ``rate_constants`` keyed by reaction label.  The system
-    is ``flow_system(flows, g, jac_g, g_magnitude)`` with the polynomial
-    reaction terms g(c) = (k * prod(c**Y)) @ V, Y the source and V the
-    reaction vectors, and their magnitudes (k * prod(c**Y)) @ |V|.
+    itself or in ``rate_constants`` keyed by reaction label.  The network
+    is compiled once into a ``MassActionField``, the system's evaluator,
+    from which its f, jac, the polynomial reaction terms g(c) =
+    (k * prod(c**Y)) @ V, Y the source and V the reaction vectors, and
+    their magnitudes (k * prod(c**Y)) @ |V| are all taken.
 
     Raises:
         NetworkError: on a reaction without mass-action kinetics, or a
@@ -152,27 +240,13 @@ def numeric_system_from_network(
         ks.append(float(k))
         sources.append(r.source.as_vector(n))
         vectors.append(r.reaction_vector(n))
-    kvec = np.array(ks)
-    Y = np.array(sources, dtype=float)
-    V = np.array(vectors, dtype=float)
-
-    def rates(c: np.ndarray) -> np.ndarray:
-        return kvec * np.prod(np.power(c[..., None, :], Y), axis=-1)
-
-    def g(c: np.ndarray) -> np.ndarray:
-        return rates(c) @ V
-
-    def jac_g(c: np.ndarray) -> np.ndarray:
-        return V.T @ (rates(c)[..., :, None] * Y / c[..., None, :])
-
-    abs_V = np.abs(V)
-
-    def g_magnitude(c: np.ndarray) -> np.ndarray:
-        return rates(c) @ abs_V
-
     if len(flows.inflow) != n:
         raise NetworkError(f"flow vectors have length {len(flows.inflow)}, expected {n}")
-    return flow_system(flows, g, jac_g, provenance="network", g_magnitude=g_magnitude)
+    field = MassActionField(ks, sources, vectors, flows)
+    return NumericSystem(
+        n, lambda c: field(c)[0], lambda c: field(c)[1](), g=field.g, c_in=field.c_in, outflow=field.outflow,
+        provenance="network", g_magnitude=field.g_magnitude, evaluator=field,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +371,10 @@ def _halton(d: int, count: int, seed: int) -> np.ndarray:
             index, digit = np.divmod(index, base)
             row += terms[j, digit]
             j += 1
-        for term in terms[j:, 0].tolist():  # every higher digit is 0
-            row += term
+        # Every higher digit is 0: add its terms in digit order, each point
+        # on its own, as one sequential accumulate down the stacked terms.
+        tail = np.broadcast_to(terms[j:, :1], (digits - j, count))
+        row[:] = np.add.accumulate(np.vstack([row, tail]), axis=0)[-1]
     return points.T
 
 
@@ -349,6 +425,10 @@ class NewtonResult:
 
 NEWTON_MAX_ITER = 100
 
+# The statuses of a Newton run, indexed by the integer codes ``_newton`` keeps.
+NEWTON_STATUSES = ("converged", "non-finite", "singular-jacobian", "no-descent", "diverged", "max-iterations")
+_CONVERGED, _NON_FINITE, _SINGULAR, _NO_DESCENT, _DIVERGED, _MAX_ITERATIONS = range(len(NEWTON_STATUSES))
+
 
 def newton_solve(sys: NumericSystem, x0: Sequence[float], tol: float = 1e-10) -> NewtonResult:
     """Damped Newton iteration from the strictly positive start point x0:
@@ -371,6 +451,12 @@ def _newton(sys: NumericSystem, X, tol: float, domain=None) -> Tuple[np.ndarray,
     searching, so every iterate, whatever its final status, lies in the
     open domain.
 
+    ``sys.evaluate`` runs once on the starts and once on each halving
+    loop's trial points; J is formed from a trial's evaluation for the
+    rows that accept it, and is the one their next step solves with.  The
+    rows still iterating are kept compact, and leave with an integer
+    status code.
+
     Returns (points, residuals, statuses, iterations), one entry per row;
     a point is a root only where its status is ``converged``.  The other
     statuses are ``non-finite`` (f overflows at the start),
@@ -384,52 +470,85 @@ def _newton(sys: NumericSystem, X, tol: float, domain=None) -> Tuple[np.ndarray,
     if np.any(X <= 0):
         raise ValueError("start point must be strictly positive")
     step_fraction = _orthant_step if domain is None else domain.step_fraction
-    statuses = np.full(len(X), "", dtype=object)
+    residuals = np.zeros(len(X))
+    codes = np.zeros(len(X), dtype=int)
     iterations = np.zeros(len(X), dtype=int)
 
-    def end(rows, status, it):
-        statuses[rows] = status
-        iterations[rows] = it
-
     with np.errstate(over="ignore", invalid="ignore"):
-        F = sys.f(X)
+        F, jacobian = sys.evaluate(X)
         if F.shape != X.shape:
             raise ValueError(f"f of system {sys.provenance!r} maps (P, n) = {X.shape} to {F.shape}, not to (P, n)")
-        R = np.linalg.norm(F, axis=-1)
-        end(~np.isfinite(R), "non-finite", 0)
+        J = jacobian()
+        r = _row_norms(F)
+        rows, x = np.arange(len(X)), X.copy()  # the live rows: indices, iterates, f, J and r
+
+        def retire(mask, code, it):
+            """End the live rows in ``mask``; returns the mask of the rest."""
+            nonlocal rows, x, F, J, r
+            ended = rows[mask]
+            X[ended], residuals[ended], codes[ended], iterations[ended] = x[mask], r[mask], code, it
+            keep = ~mask
+            rows, x, F, J, r = rows[keep], x[keep], F[keep], J[keep], r[keep]
+            return keep
+
+        finite = np.isfinite(r)
+        if np.count_nonzero(finite) < len(x):
+            retire(~finite, _NON_FINITE, 0)
         for it in range(1, NEWTON_MAX_ITER + 1):
-            live = np.flatnonzero(statuses == "")
-            done = R[live] <= tol
-            end(live[done], "converged", it - 1)
-            live = live[~done]
-            if not live.size:
+            done = r <= tol
+            if np.count_nonzero(done):
+                retire(done, _CONVERGED, it - 1)
+            if not rows.size:
                 break
-            step = _solve_rows(sys.jac(X[live]), -F[live])
-            singular = ~np.all(np.isfinite(step), axis=-1)
-            end(live[singular], "singular-jacobian", it - 1)
-            live, step = live[~singular], step[~singular]
-            x, r = X[live], R[live]
+            step = _solve_rows(J, -F)
+            finite = np.isfinite(step)
+            if np.count_nonzero(finite) < finite.size:
+                step = step[retire(~finite.all(axis=-1), _SINGULAR, it - 1)]
+                if not rows.size:
+                    break
             alpha = step_fraction(x, step)
-            accepted = np.zeros(len(live), dtype=bool)
-            pending = np.flatnonzero(alpha > 1e-13)
+            accepted = np.zeros(len(x), dtype=bool)
+            # The rows still searching, with their iterates, steps, step
+            # fractions and residual norms gathered once per iteration.
+            searching = alpha > 1e-13
+            if np.count_nonzero(searching) == len(x):
+                pending, x_p, step_p, r_p = np.arange(len(x)), x, step, r
+            else:
+                pending = np.flatnonzero(searching)
+                x_p, step_p, alpha, r_p = x[pending], step[pending], alpha[pending], r[pending]
             while pending.size:
-                x_new = x[pending] + alpha[pending, None] * step[pending]
-                f_new = sys.f(x_new)
-                r_new = np.linalg.norm(f_new, axis=-1)
-                better = r_new < r[pending]  # r is finite, so a NaN or inf r_new fails
-                if better.any():
-                    rows = live[pending[better]]
-                    X[rows], F[rows], R[rows] = x_new[better], f_new[better], r_new[better]
-                    accepted[pending[better]] = True
-                    pending = pending[~better]
-                alpha[pending] *= 0.5
-                pending = pending[alpha[pending] > 1e-13]
-            end(live[~accepted], "no-descent", it)
-            end(live[accepted & np.any(np.abs(X[live]) > 1e14, axis=-1)], "diverged", it)
-        live = statuses == ""
-        end(live & (R <= tol), "converged", NEWTON_MAX_ITER)
-        end(live & ~(R <= tol), "max-iterations", NEWTON_MAX_ITER)
-    return X, R, statuses, iterations
+                x_try = x_p + alpha[:, None] * step_p
+                f_try, jacobian = sys.evaluate(x_try)
+                r_try = _row_norms(f_try)
+                better = r_try < r_p  # r is finite, so a NaN or inf r_try fails
+                taken = np.count_nonzero(better)
+                if taken == len(x):  # every row takes this trial
+                    x, F, J, r = x_try, f_try, jacobian(), r_try
+                    accepted[:] = True
+                    break
+                alpha *= 0.5
+                keep = alpha > 1e-13
+                if taken:
+                    take = pending[better]
+                    x[take], F[take], J[take], r[take] = x_try[better], f_try[better], jacobian(better), r_try[better]
+                    accepted[take] = True
+                    keep &= ~better
+                if np.count_nonzero(keep) < keep.size:
+                    pending, x_p, step_p, alpha, r_p = pending[keep], x_p[keep], step_p[keep], alpha[keep], r_p[keep]
+            if np.count_nonzero(accepted) < len(x):
+                retire(~accepted, _NO_DESCENT, it)
+            far = np.abs(x) > 1e14
+            if np.count_nonzero(far):
+                retire(far.any(axis=-1), _DIVERGED, it)
+        X[rows], residuals[rows], iterations[rows] = x, r, NEWTON_MAX_ITER
+        codes[rows] = np.where(r <= tol, _CONVERGED, _MAX_ITERATIONS)
+    return X, residuals, np.array(NEWTON_STATUSES, dtype=object)[codes], iterations
+
+
+def _row_norms(F: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(F, axis=-1) of a real stack, the same sums without
+    the argument handling: the line search takes one per trial."""
+    return np.sqrt(np.add.reduce(F * F, axis=-1))
 
 
 def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -596,7 +715,11 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
     Euler predictor along dc/dlambda, Newton corrector at fixed lambda
     to the scale-aware residual max(CORRECTOR_TOL, CORRECTOR_REL_TOL * s)
     of ``_correct``; the step grows 1.5x after two easy corrections and
-    halves on failure.  An overflow prints no warning (``np.errstate``).
+    halves on failure.  The system is evaluated (``evaluate_lambda``) once
+    at lambda=0 and once per corrector iterate: the predictor's J_lambda
+    and g, and the endpoint residual, come from the corrector's evaluation
+    at the point it accepted.  An overflow prints no warning
+    (``np.errstate``).
 
     Raises:
         PathTrackingError: when f_lambda or J_lambda is not finite at an
@@ -607,13 +730,13 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
     sys._require_flows()
     c = np.array(sys.c_in) / np.array(sys.outflow)
     lam = 0.0
+    fx, jac, g, _ = sys.evaluate_lambda(c, lam)
     h = HOMOTOPY_INITIAL_STEP
     samples = [(0.0, tuple(c), 0.0)]
     easy = 0
     for _ in range(HOMOTOPY_MAX_STEPS):
         if lam >= 1.0:
             break
-        jac, g = sys.jac_lambda(c, lam), sys.g(c)
         if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(g))):
             raise PathTrackingError("non-finite f_lambda or J_lambda", lam)
         h = min(h, 1.0 - lam)
@@ -624,12 +747,13 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
             c_pred = np.maximum(c + h * tangent, 1e-300)
         except np.linalg.LinAlgError:
             pass
-        ok, c_new, iters = _correct(sys, c_pred, target)
+        ok, c_new, iters, at = _correct(sys, c_pred, target)
         if ok:
             if not domain.contains(c_new, closed=True, tol=1e-9):
                 raise PathTrackingError("path left the domain closure", lam)
             c = c_new
             lam = target
+            fx, jac, g = at
             samples.append((lam, tuple(c), h))
             easy = easy + 1 if iters <= 3 else 0
             if easy >= 2:
@@ -642,40 +766,43 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
                 raise PathTrackingError("path tracking stalled", lam)
     else:
         raise PathTrackingError("step budget exhausted", lam)
-    residual = float(np.linalg.norm(sys.f_lambda(c, 1.0)))
-    return HomotopyPath(samples, tuple(c), residual, len(samples) - 1)
+    # The last accepted target is exactly 1.0: lam + (1.0 - lam) rounds to 1.
+    return HomotopyPath(samples, tuple(c), float(np.linalg.norm(fx)), len(samples) - 1)
 
 
 def _correct(sys: NumericSystem, x0: np.ndarray, lam: float):
     """At most CORRECTOR_MAX_ITER Newton steps on f_lambda at fixed lambda
-    from x0, kept strictly positive: (accepted, point, iterations).
+    from x0, kept strictly positive: (accepted, point, iterations, at),
+    where ``at`` is (f_lambda, J_lambda, g) at an accepted point, else None.
 
     Accepts at ||f_lambda|| <= max(CORRECTOR_TOL, CORRECTOR_REL_TOL * s),
-    a backward error against the term-wise magnitudes s of f_lambda
-    (``sys.lambda_scale``), taken once at the predicted point x0.  A
-    system without ``g_magnitude`` has the absolute test alone.
+    a backward error against the term-wise magnitudes s of f_lambda, taken
+    once, from the evaluation at the predicted point x0.  A system without
+    ``g_magnitude`` has the absolute test alone.  Each iterate is
+    evaluated once.
     """
     x = np.array(x0)
     if np.any(x <= 0):
-        return False, x, 0
-    scale = sys.lambda_scale(x, lam)
-    if scale is not None and not math.isfinite(scale):
-        return False, x, 0
-    tol = CORRECTOR_TOL if scale is None else max(CORRECTOR_TOL, CORRECTOR_REL_TOL * scale)
-    for it in range(1, CORRECTOR_MAX_ITER + 1):
-        fx = sys.f_lambda(x, lam)
-        r = float(np.linalg.norm(fx))
-        if r <= tol:
-            return True, x, it - 1
+        return False, x, 0, None
+    tol = None
+    for it in range(1, CORRECTOR_MAX_ITER + 2):
+        fx, jx, gx, magnitudes = sys.evaluate_lambda(x, lam)
+        if tol is None:
+            scale = None if magnitudes is None else float(np.linalg.norm(magnitudes))
+            if scale is not None and not math.isfinite(scale):
+                return False, x, 0, None
+            tol = CORRECTOR_TOL if scale is None else max(CORRECTOR_TOL, CORRECTOR_REL_TOL * scale)
+        if float(np.linalg.norm(fx)) <= tol:
+            return True, x, it - 1, (fx, jx, gx)
+        if it > CORRECTOR_MAX_ITER:
+            return False, x, CORRECTOR_MAX_ITER, None
         try:
-            step = np.linalg.solve(sys.jac_lambda(x, lam), -fx)
+            step = np.linalg.solve(jx, -fx)
         except np.linalg.LinAlgError:
-            return False, x, it
+            return False, x, it, None
         x = x + _orthant_step(x, step) * step
         if not np.all(np.isfinite(x)):
-            return False, x, it
-    fx = sys.f_lambda(x, lam)
-    return float(np.linalg.norm(fx)) <= tol, x, CORRECTOR_MAX_ITER
+            return False, x, it, None
 
 
 MATCH_RADIUS = 1e-6

@@ -1,9 +1,14 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from crncount import numeric
 from crncount.conservation import conserved_mass_vector
 from crncount.dsl import parse_network
-from crncount.fixtures import fixture_network, mapk_cube, thron_box, thron_cascade, unit_cube
+from crncount.fixtures import NETWORK_FIXTURES, fixture_network, mapk_cube, thron_box, thron_cascade, unit_cube
+from crncount.jacobian import augmented_mass_action_jacobian, outflow_constant
 from crncount.network import FlowAugmentation, NetworkError
 from crncount.numeric import (
     BOX_ZERO_TOL,
@@ -27,6 +32,7 @@ from crncount.numeric import (
     track_homotopy,
 )
 from crncount.numeric import _newton, _orthant_step
+from crncount.polynomial import concentration, rate_constant
 
 NET_61 = "A+B -> P\nB+C -> Q\nC -> 2A\n"
 
@@ -234,6 +240,127 @@ def test_lockstep_newton_matches_one_start_runs(name):
             assert residuals[i] <= COUNT_TOL
             np.testing.assert_allclose(points[i], solo.point, rtol=1e-12, atol=0)
             np.testing.assert_allclose(points[i], point, rtol=1e-12, atol=0)
+
+
+def _never_called(*args):
+    raise AssertionError("evaluated outside the system's single evaluation")
+
+
+def _counting(sys, calls):
+    """sys with its evaluation wrapped to record each call's stack length
+    and whether it asked for the terms; f, jac, g and g_magnitude refuse
+    to be called on their own."""
+
+    def evaluator(c, terms=False):
+        calls.append((len(c) if np.ndim(c) == 2 else 1, terms))
+        return sys.evaluate(c, terms)
+
+    return dataclasses.replace(sys, evaluator=evaluator, f=_never_called, jac=_never_called,
+                               g=_never_called, g_magnitude=_never_called)
+
+
+def test_lockstep_newton_evaluates_once_per_trial():
+    # One evaluation of the 240 starts, then one per line-search trial, so
+    # the rows evaluated add up to the serial reference's f evaluations; J
+    # comes from those evaluations, never from a jac call of its own.
+    sys, domain = _batch_case("planted-6.1")
+    X = domain.sample_interior(240, seed=17)
+    calls, serial_rows = [], []
+    points, residuals, statuses, iterations = _newton(_counting(sys, calls), X, COUNT_TOL)
+    f = lambda c: serial_rows.append(1) or sys.f(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x0 in X:
+            _serial_newton(dataclasses.replace(sys, f=f), x0, COUNT_TOL)
+    assert calls[0] == (240, False) and not any(terms for _, terms in calls)
+    assert sum(rows for rows, _ in calls) == len(serial_rows) > 2 * 240
+    reference = _newton(sys, X, COUNT_TOL)
+    assert np.array_equal(points, reference[0]) and np.array_equal(residuals, reference[1])
+    assert statuses.tolist() == reference[2].tolist() and np.array_equal(iterations, reference[3])
+
+
+def test_homotopy_evaluates_once_at_zero_and_once_per_corrector_iterate(monkeypatch):
+    # A corrector that accepts after i Newton steps has evaluated i + 1
+    # iterates; track_homotopy itself evaluates only the start at lambda=0.
+    _, sys, dom, _ = _system_61(k3=0.5)  # certified: k[C->2A] <= 1
+    calls, corrections = [], []
+    correct = numeric._correct
+
+    def recorded(sys_, x0, lam):
+        before = len(calls)
+        out = correct(sys_, x0, lam)
+        corrections.append((out[0], out[2], len(calls) - before))
+        return out
+
+    monkeypatch.setattr(numeric, "_correct", recorded)
+    path = track_homotopy(_counting(sys, calls), dom)
+    assert corrections and all(ok for ok, _, _ in corrections)
+    assert [evaluations for _, _, evaluations in corrections] == [iters + 1 for _, iters, _ in corrections]
+    assert len(calls) == 1 + sum(evaluations for _, _, evaluations in corrections)
+    assert all(terms for _, terms in calls) and path.steps == len(corrections)
+    plain = track_homotopy(sys, dom)
+    assert (path.endpoint, path.endpoint_residual) == (plain.endpoint, plain.endpoint_residual)
+
+
+def _dyadic(rng, low, high, size):
+    """Rationals j/1024 in [low, high), exact as floats."""
+    return [Fraction(int(j), 1024) for j in rng.integers(int(low * 1024), int(high * 1024), size)]
+
+
+def _exact(poly, values):
+    """A polynomial's value in exact Fraction arithmetic."""
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        term = Fraction(coeff)
+        for x, e in mono:
+            term *= values[x] ** e
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK_FIXTURES))
+def test_mass_action_field_matches_exact_values(name):
+    # The compiled field against exact values at rational points: f, g and
+    # the term magnitudes from the reactions, J from the symbolic Jacobian
+    # with symbolic outflows.
+    # network-5.1, table1-vii and table1-viii have 2A and 3A sources.
+    net = fixture_network(name)
+    rng = np.random.default_rng(sorted(NETWORK_FIXTURES).index(name))
+    k = dict(zip((r.label for r in net.reactions), _dyadic(rng, 0.1, 10, len(net.reactions))))
+    c_in, outflow = _dyadic(rng, 0.1, 10, net.n), _dyadic(rng, 0.1, 10, net.n)
+    sys = numeric_system_from_network(net, {label: float(v) for label, v in k.items()},
+                                      FlowAugmentation(tuple(map(float, c_in)), tuple(map(float, outflow))))
+    jacobian = augmented_mass_action_jacobian(net, outflow="symbolic")
+    points = [_dyadic(rng, 0.05, 4, net.n) for _ in range(6)]
+    exact_f, exact_g, exact_magnitudes, exact_J = [], [], [], []
+    for c in points:
+        g, magnitudes = [Fraction(0)] * net.n, [Fraction(0)] * net.n
+        for r in net.reactions:
+            rate = k[r.label]
+            for i, e in r.source.coeffs:
+                rate *= c[i] ** e
+            for j, v in enumerate(r.reaction_vector(net.n)):
+                g[j] += v * rate
+                magnitudes[j] += abs(v) * rate
+        exact_f.append([float(c_in[j] - outflow[j] * c[j] + g[j]) for j in range(net.n)])
+        exact_g.append([float(v) for v in g])
+        exact_magnitudes.append([float(v) for v in magnitudes])
+        values = {rate_constant(label): v for label, v in k.items()}
+        values.update({concentration(i, s): c[i] for i, s in enumerate(net.names)})
+        values.update({outflow_constant(s): outflow[i] for i, s in enumerate(net.names)})
+        exact_J.append([[float(_exact(entry, values)) for entry in row] for row in jacobian])
+    X = np.array(points, dtype=float)
+    F, jac, G, magnitudes = sys.evaluate(X, terms=True)
+    np.testing.assert_allclose(F, exact_f, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(G, exact_g, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(magnitudes, exact_magnitudes, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(jac(), exact_J, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(jac([1, 4]), np.array(exact_J)[[1, 4]], rtol=1e-13, atol=0)
+    for x, f, J in zip(X, exact_f, exact_J):
+        F1, jac1 = sys.evaluate(x)
+        np.testing.assert_allclose(F1, f, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(jac1(), J, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(sys.f(x), f, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(sys.jac(x), J, rtol=1e-13, atol=0)
 
 
 def test_lockstep_newton_isolates_a_singular_row():
