@@ -9,6 +9,7 @@ Reruns with identical arguments and seed produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -49,8 +50,7 @@ EXIT_UNCERTIFIED = 2
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         report, code = args.handler(args)
     except (ParseError, NetworkError, DeterminantSizeError, ValueError, KeyError, OSError, RuntimeError) as exc:
@@ -66,7 +66,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     return code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at the first main call.
+
+    Reuse is safe: parse_args copies the --k list default before appending,
+    and the handlers only read args.
+    """
     parser = argparse.ArgumentParser(prog="crn", description="Equilibrium analysis for reaction networks with inflows and outflows")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,8 +2,8 @@
 
 A network is conservative when some strictly positive vector m is
 orthogonal to every reaction vector.  Feasibility is decided by a small
-exact simplex over Fractions (positivity encoded as m_i >= 1, which is
-scale-free on the nullspace cone), so borderline networks are never
+exact simplex on an integer tableau (positivity encoded as m_i >= 1, which
+is scale-free on the nullspace cone), so borderline networks are never
 mislabelled by floating point.
 """
 
@@ -47,11 +47,9 @@ def conserved_mass_vector(net: ReactionNetwork) -> Optional[MassVector]:
     Positivity is sought as m >= 1 via an exact simplex minimising sum(m);
     the result is scaled to integer entries with gcd 1 when possible.
     """
-    vectors = [r.reaction_vector(net.n) for r in net.reactions]
+    rows = [r.reaction_vector(net.n) for r in net.reactions]
     # m = 1 + x with x >= 0:  sum_j v_j x_j = -sum_j v_j  for each reaction.
-    rows = [[Fraction(v) for v in vec] for vec in vectors]
-    rhs = [-sum(row) for row in rows]
-    solution = _simplex_min(rows, rhs)
+    solution = _simplex_min(rows, [-sum(row) for row in rows])
     if solution is None:
         return None
     m = [Fraction(1) + x for x in solution]
@@ -72,9 +70,12 @@ def check_mass_vector(net: ReactionNetwork, m: Sequence) -> MassVerdict:
     if len(m) != net.n:
         raise NetworkError(f"candidate has length {len(m)}, expected {net.n}")
     mv = [Fraction(x) for x in m]
-    if any(not x > 0 for x in mv):
+    # Scaling by the positive lcm of the denominators keeps every sign.
+    lcm = math.lcm(*(x.denominator for x in mv))
+    ints = [x.numerator * (lcm // x.denominator) for x in mv]
+    if any(not x > 0 for x in ints):
         return MassVerdict.NEITHER
-    dots = [sum(a * b for a, b in zip(mv, r.reaction_vector(net.n))) for r in net.reactions]
+    dots = [sum(a * b for a, b in zip(ints, r.reaction_vector(net.n))) for r in net.reactions]
     if all(d == 0 for d in dots):
         return MassVerdict.CONSERVED
     if all(d <= 0 for d in dots):
@@ -101,35 +102,49 @@ def _normalize(m: List[Fraction]) -> List[Fraction]:
     return [Fraction(v // g) for v in ints]
 
 
-def _simplex_min(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    """Minimise sum(x) subject to rows.x = rhs, x >= 0, exactly over Fractions.
+def _simplex_min(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[List[Fraction]]:
+    """Minimise sum(x) subject to rows.x = rhs, x >= 0, exactly, for integer rows.
 
-    Two-phase dense tableau simplex with Bland's rule (no cycling).  The
-    last tableau row holds the reduced costs (its last entry is minus the
-    objective value) and is pivoted with the constraint rows.  Returns an
-    optimal x, or None when infeasible.  Intended for the tiny systems that
-    arise here (tens of variables at most).
+    Two-phase dense tableau simplex with Bland's rule (no cycling), kept
+    integer-preserving (Edmonds; Bareiss): the tableau is T/D with integer
+    T and D > 0 the last pivot, which is +-det of the current basis, so every
+    update divides exactly.  The last tableau row holds D times the reduced
+    costs (its last entry is minus D times the objective value) and is
+    pivoted with the constraint rows.  Returns an optimal x, or None when
+    infeasible.  Intended for the tiny systems that arise here (tens of
+    variables at most).
     """
     n, m = len(rows[0]), len(rows)
     # Make rhs nonnegative, then add one artificial variable per row.
     tableau = []
     for i, (row, b) in enumerate(zip(rows, rhs)):
         s = -1 if b < 0 else 1
-        tableau.append([s * v for v in row] + [Fraction(int(j == i)) for j in range(m)] + [s * b])
+        tableau.append([s * v for v in row] + [int(j == i) for j in range(m)] + [s * b])
     basis = list(range(n, n + m))
+    D = 1
 
     def price(cost: List[int]):
         # Every basic variable costs 1 in both phases (the artificials, then
-        # every x_j), so the reduced costs are cost minus every row.
-        tableau.append([c - sum(col) for c, col in zip(cost, zip(*tableau))])
+        # every x_j), so the reduced costs are cost minus every row; D*B^-1
+        # is the integer adjugate of the basis, so D times them is integral.
+        tableau.append([c * D - sum(col) for c, col in zip(cost, zip(*tableau))])
 
     def pivot(row: int, col: int):
-        piv = tableau[row][col]
-        tableau[row] = [v / piv for v in tableau[row]]
+        nonlocal D
+        prow = tableau[row]
+        p = prow[col]
+        # The pivot row is already p times its new value; a row with 0 in
+        # the pivot column only rescales from D to p.
         for r, other in enumerate(tableau):
             f = other[col]
-            if r != row and f != 0:
-                tableau[r] = [a - f * p if p else a for a, p in zip(other, tableau[row])]
+            if r == row or (f == 0 and p == D):
+                continue
+            tableau[r] = [(p * a - f * q) // D for a, q in zip(other, prow)] if f else [p * a // D for a in other]
+        D = p
+        if p < 0:
+            D = -p
+            for r, other in enumerate(tableau):
+                tableau[r] = [-a for a in other]
         basis[row] = col
 
     def solve_phase():
@@ -139,10 +154,15 @@ def _simplex_min(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[Li
             if entering is None:
                 return
             # zip(basis, tableau) stops before the cost row.  Both objectives
-            # are bounded below by 0, so some row qualifies; a ratio tie goes
-            # to the smallest basic index.
-            ratios = [(row[-1] / row[entering], b, r) for r, (b, row) in enumerate(zip(basis, tableau)) if row[entering] > 0]
-            pivot(min(ratios)[2], entering)
+            # are bounded below by 0, so some row qualifies.  D cancels from
+            # the ratios, compared exactly by cross-multiplying positive
+            # denominators; a ratio tie goes to the smallest basic index.
+            best = None
+            for r, (b, row) in enumerate(zip(basis, tableau)):
+                a = row[entering]
+                if a > 0 and (best is None or (row[-1] * best[1], b) < (best[0] * a, best[2])):
+                    best = (row[-1], a, b, r)
+            pivot(best[3], entering)
 
     price([0] * n + [1] * m + [0])
     solve_phase()
@@ -162,5 +182,5 @@ def _simplex_min(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[Li
     solve_phase()
     x = [Fraction(0)] * n
     for b, row in zip(basis, tableau):
-        x[b] = row[-1]
+        x[b] = Fraction(row[-1], D)
     return x

@@ -3,14 +3,35 @@
 ``reference_simplex_min`` and ``reference_normalize`` are
 ``conservation._simplex_min`` and ``conservation._normalize`` as they were
 before the simplex carried its reduced costs in the tableau: each step
-recomputes every column's reduced cost from the basis costs.  Both use the
-same pivoting rule over exact Fractions, so tests require the two forms to
-return the identical x, or both None.
+recomputes every column's reduced cost from the basis costs, over exact
+Fractions.  The integer tableau uses the same pivoting rule, so tests
+require the two forms to return the identical x, or both None.
+
+``reference_check_mass_vector`` is ``conservation.check_mass_vector`` as it
+was before it scaled the candidate to integers: Fraction dot products with
+every reaction vector.  Tests require the same verdict from both.
 """
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional
+from typing import List, Optional, Sequence
+
+from crncount.conservation import MassVerdict
+from crncount.network import NetworkError, ReactionNetwork
+
+
+def reference_check_mass_vector(net: ReactionNetwork, m: Sequence) -> MassVerdict:
+    if len(m) != net.n:
+        raise NetworkError(f"candidate has length {len(m)}, expected {net.n}")
+    mv = [Fraction(x) for x in m]
+    if any(not x > 0 for x in mv):
+        return MassVerdict.NEITHER
+    dots = [sum(a * b for a, b in zip(mv, r.reaction_vector(net.n))) for r in net.reactions]
+    if all(d == 0 for d in dots):
+        return MassVerdict.CONSERVED
+    if all(d <= 0 for d in dots):
+        return MassVerdict.DISSIPATING
+    return MassVerdict.NEITHER
 
 
 def reference_normalize(m: List[Fraction]) -> List[Fraction]:

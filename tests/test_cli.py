@@ -737,3 +737,35 @@ def test_readme_python_api_runs():
     assert namespace["report"].count == 1
     assert namespace["audit"].clean
     assert namespace["at"] is True and namespace["on"] is False
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_reuses_one_parser_across_calls(tmp_path, capsys):
+    # The file fixes every rate but C->2A, so a --k binding left over from
+    # an earlier call would turn the plain count's missing-binding error
+    # into a count.
+    f = tmp_path / "c2a.crn"
+    f.write_text("A+B -> P ; k=1\nB+C -> Q ; k=1\nC -> 2A\n")
+    bound = ("count", str(f), "--k", "C->2A=2", "--starts", "20", "--seed", "3")
+    plain = ("count", str(f), "--starts", "20", "--seed", "3")
+    bad = ("count", str(f), "--no-such-option")
+    first = {}
+    for argv in (bound, plain, bad):
+        cli._build_parser.cache_clear()
+        first[argv] = _outcome(capsys, argv)
+    assert first[bound][0] == 2 and json.loads(first[bound][1])["census"]["conditions_hold_at_parameters"] is False
+    assert first[plain][0] == 1 and "missing parameter binding" in first[plain][2]
+    assert first[bad][0] == 2 and "--no-such-option" in first[bad][2]
+    cli._build_parser.cache_clear()
+    for argv in (bound, plain, bad, plain):
+        assert _outcome(capsys, argv) == first[argv], argv
+    assert cli._build_parser() is cli._build_parser()

@@ -18,7 +18,7 @@ from crncount.fixtures import NETWORK_FIXTURES, fixture_network
 from crncount.network import NetworkError
 
 from census_reference import ring
-from conservation_reference import reference_normalize, reference_simplex_min
+from conservation_reference import reference_check_mass_vector, reference_normalize, reference_simplex_min
 
 NET_61 = "A+B -> P\nB+C -> Q\nC -> 2A\n"
 NET_T2 = "A+B <-> P\nB+C <-> Q\nC+D <-> R\nD <-> 2A\n"
@@ -235,3 +235,97 @@ def test_simplex_matches_reference_on_random_stoichiometries():
             dependent += np.linalg.matrix_rank(np.array(vectors, dtype=float)) < len(vectors)
     assert feasible >= 400 and 1200 - feasible >= 200
     assert dependent >= 200
+
+
+def _wide_stoichiometry(rng, conservative):
+    """Reaction vectors whose entries reach the DSL's cap of 2^31 - 1.
+
+    A conservative row is m_j e_i - m_i e_j for a drawn m > 0 with entries up
+    to the cap; any system may gain the reverse of a row, a linearly
+    dependent row that sends phase 1 through the drive-out.
+    """
+    cap = 2**31 - 1
+    n = int(rng.integers(2, 7))
+    m = [int(v) for v in rng.integers(1, cap, size=n, endpoint=True)]
+    vectors = []
+    for _ in range(int(rng.integers(1, n + 2))):
+        if conservative:
+            i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
+            v = [0] * n
+            v[i], v[j] = m[j], -m[i]
+        else:
+            v = [int(x) for x in rng.integers(-cap, cap, size=n, endpoint=True)]
+        vectors.append(v)
+    if rng.random() < 0.5:
+        vectors.append([-x for x in vectors[int(rng.integers(len(vectors)))]])
+    return vectors
+
+
+def test_integer_simplex_divides_exactly_at_the_coefficient_cap():
+    # Every tableau update divides by the last pivot; an inexact division
+    # would floor silently and end at another x.  Entries near 2^31 make
+    # the subdeterminants, and any remainder, large.
+    rng = np.random.default_rng(17)
+    feasible = 0
+    for trial in range(300):
+        x = _assert_matches_reference(_wide_stoichiometry(rng, conservative=trial % 2 == 0))
+        assert x is not None or trial % 2
+        feasible += x is not None
+    assert 150 <= feasible < 300
+    net = ring(17)
+    assert _assert_matches_reference([r.reaction_vector(net.n) for r in net.reactions]) is not None
+
+
+def _candidate_network(rng):
+    """A DSL network conserving integer weights w, maybe with one reaction
+    that lowers (dissipates) or raises w.c, and the weights by species name.
+
+    Species S0 is a catalyst of every reaction, so no line is a flow.
+    """
+    n = int(rng.integers(2, 6))
+    w = [int(v) for v in rng.integers(1, 6, size=n)]
+    vectors = []
+    for _ in range(int(rng.integers(1, n + 1))):
+        i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
+        c = int(rng.choice([-2, -1, 1, 2]))
+        v = [0] * n
+        v[i], v[j] = c * w[j], -c * w[i]
+        if v not in vectors:  # the DSL rejects a duplicate reaction
+            vectors.append(v)
+    extra = rng.choice(["none", "lower", "raise"])
+    if extra != "none":
+        v = [0] * n
+        v[int(rng.integers(n))] = -1 if extra == "lower" else 1
+        vectors.append(v)
+
+    def side(coeffs):
+        return " + ".join(f"{c} S{k}" for k, c in enumerate(coeffs) if c)
+
+    lines = []
+    for v in vectors:
+        source = [max(-x, 0) + (k == 0) for k, x in enumerate(v)]
+        target = [max(x, 0) + (k == 0) for k, x in enumerate(v)]
+        lines.append(f"{side(source)} -> {side(target)}")
+    return parse_network("\n".join(lines) + "\n"), {f"S{k}": v for k, v in enumerate(w)}
+
+
+def test_check_mass_vector_matches_fraction_dot_products():
+    rng = np.random.default_rng(23)
+    seen = {verdict: 0 for verdict in MassVerdict}
+    for _ in range(600):
+        net, weights = _candidate_network(rng)
+        scale = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 50)))
+        candidate = [weights[name] * scale for name in net.names]
+        kind = rng.integers(4)
+        if kind == 1:  # perturb one entry by a random rational, either sign
+            k = int(rng.integers(net.n))
+            candidate[k] += Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+        elif kind == 2:  # a zero or negative entry
+            candidate[int(rng.integers(net.n))] = -Fraction(int(rng.integers(0, 5)), int(rng.integers(1, 5)))
+        elif kind == 3:  # unrelated rationals, given as ints, Fractions or strings
+            candidate = [Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 20))) for _ in net.names]
+            candidate = [int(v) if v.denominator == 1 else str(v) if rng.random() < 0.5 else v for v in candidate]
+        verdict = check_mass_vector(net, candidate)
+        assert verdict is reference_check_mass_vector(net, candidate)
+        seen[verdict] += 1
+    assert min(seen.values()) >= 50, seen
