@@ -214,6 +214,10 @@ _CASCADE_ARGUMENTS = {
 
 
 def _cmd_count(args):
+    if args.starts < 1:
+        raise ValueError(f"--starts must be an integer >= 1, got {args.starts}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
     if args.flow_only and (args.file or args.fixture or args.k or args.mass):
         raise ValueError("--flow-only takes no network file, --fixture, --k or --mass")
     if args.fixture in fixtures.NUMERIC_FIXTURES:
@@ -226,6 +230,8 @@ def _cmd_count(args):
     outflow = "1" if args.outflow is None else args.outflow
     if args.flow_only:
         n = max(len([p for p in inflow.split(",") if p]), len([p for p in outflow.split(",") if p]))
+        if n == 0:
+            raise ValueError("--flow-only needs at least one species: --inflow and --outflow give no values")
         flows = FlowAugmentation(_parse_vector(inflow, n, "inflow"), _parse_vector(outflow, n, "outflow"))
         sys_ = flow_system(flows)
         m_floats = [1.0] * n

@@ -3,11 +3,12 @@ degree estimation, bounded domains, and sampled boundary audits.
 
 Network-derived systems are mass-action, hence polynomial; general
 monotone kinetics enter the sign census only.  A network is compiled once
-into a ``MassActionField``, whose rates are products of gathered factors
-(c_A*c_A for a source 2A).  Every system has one evaluation,
+into a ``MassActionField``, the NumericSystem whose rates are products of
+gathered factors (c_A*c_A for a source 2A); the pure-flow system is that
+field with no reactions.  Every system has one evaluation,
 ``NumericSystem.evaluate``: it gives f and, for the rows that need it, J
-from the same rates, so the Newton kernel evaluates each line-search trial
-once and the homotopy each corrector iterate once.
+from the same evaluation, so the Newton kernel evaluates each line-search
+trial once and the homotopy each corrector iterate once.
 
 The audits check by sampling that f has no zeros on a domain boundary.
 They serve custom systems.  ``crn count`` samples nothing: it states a
@@ -55,24 +56,22 @@ class NumericSystem:
     the open orthant).  Both evaluate a whole stack of points at once:
     ``f`` maps an array of shape (..., n) to (..., n) and ``jac`` maps it
     to (..., n, n), each point on its own, so a single point (n,) gives
-    (n,) and (n, n).  Systems built from flow-augmented networks also
-    carry the decomposition f(c) = c_in - outflow*c + g(c), with ``g``
-    under the same contract, which the homotopy and ``boundary_audit``
-    need and check for on entry; standalone fixtures may leave the flow
-    fields as None, and then ``f_lambda``/``evaluate_lambda`` must not be
-    called.  ``g_magnitude``, where given, maps c to the term-wise
-    magnitudes of g, |V|^T (k * c^Y) for a network, and makes the homotopy
-    corrector's tolerance scale-aware.  Evaluators must be pure.
+    (n,) and (n, n).  Flow-augmented systems also carry the decomposition
+    f(c) = c_in - outflow*c + g(c), with ``g`` under the same contract,
+    which the homotopy and ``boundary_audit`` need and check for on
+    entry; custom systems such as the cascades may leave the flow fields
+    as None, and then ``f_lambda``/``evaluate_lambda`` must not be called.
+    Evaluators must be pure.
 
     ``evaluate(c)`` is the one evaluation the Newton kernels call.  It
     returns (f(c), jacobian), where ``jacobian(rows)`` is jac(c[rows])
     (all of c by default), taken from the same evaluation; so a kernel
     forms J only for the rows that need it, such as the trial points a
-    line search accepts.  With ``terms=True`` it also returns g(c) and
-    g_magnitude(c) (None without ``g_magnitude``).  A network system's
-    ``evaluator`` is its compiled ``MassActionField``, which computes the
-    rates once for all of them; without one, the evaluation is built from
-    ``f``, ``jac``, ``g`` and ``g_magnitude``.
+    line search accepts.  With ``terms=True`` it also returns g(c) and the
+    term-wise magnitudes of g, which make the homotopy corrector's
+    tolerance scale-aware.  Here the evaluation is built from ``f``,
+    ``jac`` and ``g``, and the magnitudes are None; a ``MassActionField``
+    computes all of them from one set of rates.
     """
 
     n: int
@@ -82,14 +81,10 @@ class NumericSystem:
     c_in: Optional[np.ndarray] = None
     outflow: Optional[np.ndarray] = None
     provenance: str = "custom"
-    g_magnitude: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    evaluator: Optional[Callable[..., tuple]] = None
 
     def evaluate(self, c: np.ndarray, terms: bool = False) -> tuple:
-        """(f(c), jacobian), and with ``terms`` also (g(c), g_magnitude(c)),
-        from one evaluation at the points c."""
-        if self.evaluator is not None:
-            return self.evaluator(c, terms)
+        """(f(c), jacobian), and with ``terms`` also (g(c), None), from one
+        evaluation at the points c."""
 
         def jacobian(rows=slice(None)):
             # A constant Jacobian given as one (n, n) matrix serves a whole stack.
@@ -97,9 +92,7 @@ class NumericSystem:
             return J if np.shape(J) == shape else np.broadcast_to(J, shape).copy()
 
         out = self.f(c), jacobian
-        if not terms:
-            return out
-        return out + (self.g(c), None if self.g_magnitude is None else self.g_magnitude(c))
+        return out + (self.g(c), None) if terms else out
 
     def f_lambda(self, c: np.ndarray, lam: float) -> np.ndarray:
         """Homotopy family c_in - outflow*c + lam * g(c)."""
@@ -108,8 +101,8 @@ class NumericSystem:
     def evaluate_lambda(self, c: np.ndarray, lam: float) -> tuple:
         """f_lambda, its Jacobian J_lambda = lam*(J + diag(outflow)) -
         diag(outflow) and g at c, and the term-wise magnitudes of f_lambda,
-        c_in + outflow*c + lam*g_magnitude(c) (None without
-        ``g_magnitude``), all from one ``evaluate``."""
+        c_in + outflow*c + lam*|g| (None where ``evaluate`` gives no
+        magnitudes), all from one ``evaluate``."""
         _, jacobian, g, g_mag = self.evaluate(c, terms=True)
         J, D = jacobian(), self._outflow_diag
         magnitudes = None if g_mag is None else self.c_in + self.outflow * c + lam * g_mag
@@ -124,64 +117,41 @@ class NumericSystem:
             raise ValueError(f"system {self.provenance!r} lacks inflow/outflow structure")
 
 
-def flow_system(
-    flows: FlowAugmentation, g=None, jac_g=None, provenance: str = "flow-only", g_magnitude=None
-) -> NumericSystem:
-    """The flow-augmented system f(c) = c_in - outflow*c + g(c).
-
-    ``g``, its Jacobian ``jac_g`` and its term-wise magnitudes
-    ``g_magnitude`` are the reaction terms, under the evaluator contract of
-    NumericSystem; omitted, all three are 0 and f is the pure-flow system
-    with equilibrium c_in/outflow.
-    """
-    c_in = np.array(flows.inflow)
-    outflow = np.array(flows.outflow)
-    outflow_diag = np.diag(outflow)
-    n = len(c_in)
-    if g is None:
-        g = g_magnitude = lambda c: np.zeros(np.shape(c))
-        jac_g = lambda c: np.zeros(np.shape(c) + (n,))
-
-    def f(c: np.ndarray) -> np.ndarray:
-        return c_in - outflow * c + g(c)
-
-    def jac(c: np.ndarray) -> np.ndarray:
-        return jac_g(c) - outflow_diag
-
-    return NumericSystem(n, f, jac, g=g, c_in=c_in, outflow=outflow, provenance=provenance, g_magnitude=g_magnitude)
-
-
-class MassActionField:
-    """A flow-augmented mass-action network bound to numbers, compiled once
-    for evaluation on stacks of points (..., n).
+class MassActionField(NumericSystem):
+    """A flow-augmented mass-action network bound to numbers: the
+    NumericSystem f(c) = c_in - outflow*c + g(c), compiled once for
+    evaluation on stacks of points (..., n).
 
     The record holds the rate constants ``k`` (R,), the source factor
     indices ``factors`` (R, d), the reaction vectors ``V`` (R, n) and
-    ``abs_V`` = |V|, ``c_in`` and ``outflow``.  Row r of ``factors`` lists
-    the species of reaction r's source, each as often as its coefficient
-    and in species order, padded with n, the index of a constant 1; so a
-    rate k_r * prod(c^Y_r) is k_r times a product of d gathered factors
-    (c_A*c_A for a source 2A), not a power of every species.
+    ``abs_V`` = |V|, ``c_in`` and ``outflow``; n is the flows' length, and
+    R may be 0 (the pure-flow system of ``flow_system``).  Row r of
+    ``factors`` lists the species of reaction r's source, each as often as
+    its coefficient and in species order, padded with n, the index of a
+    constant 1; so a rate k_r * prod(c^Y_r) is k_r times a product of d
+    gathered factors (c_A*c_A for a source 2A), not a power of every
+    species.
 
-    A call computes the rates once and returns f = c_in - outflow*c + g,
-    with g = rates @ V, and the Jacobian J = V^T (rate * Y / c) -
-    diag(outflow) of any rows, from those rates (the ``evaluate`` contract
-    of NumericSystem); with ``terms=True`` it also returns g and its
-    term-wise magnitudes rates @ |V|.
+    ``evaluate`` computes the rates once and returns f, with g = rates @ V,
+    and the Jacobian J = V^T (rate * Y / c) - diag(outflow) of any rows,
+    from those rates; with ``terms=True`` it also returns g and its
+    term-wise magnitudes rates @ |V|.  ``f`` and ``jac`` are taken from
+    it; the homotopy family and its evaluation are NumericSystem's.
     """
 
-    def __init__(self, k: Sequence[float], sources: Sequence[Sequence[int]], vectors, flows: FlowAugmentation):
-        self.k = np.array(k, dtype=float)
-        self.Y = np.array(sources, dtype=float)
-        self.V = np.array(vectors, dtype=float)
-        self.abs_V = np.abs(self.V)
-        n = self.Y.shape[1]
-        rows = [[j for j, e in enumerate(y) for _ in range(e)] for y in sources]
-        order = max(1, max(map(len, rows)))
-        self.factors = np.array([row + [n] * (order - len(row)) for row in rows])
+    def __init__(self, k: Sequence[float], sources: Sequence[Sequence[int]], vectors, flows: FlowAugmentation,
+                 provenance: str = "network"):
         self.c_in = np.array(flows.inflow, dtype=float)
         self.outflow = np.array(flows.outflow, dtype=float)
-        self._outflow_diag = np.diag(self.outflow)
+        self.n = n = len(self.c_in)
+        self.provenance = provenance
+        self.k = np.array(k, dtype=float)
+        self.Y = np.array(sources, dtype=float).reshape(-1, n)
+        self.V = np.array(vectors, dtype=float).reshape(-1, n)
+        self.abs_V = np.abs(self.V)
+        rows = [[j for j, e in enumerate(y) for _ in range(e)] for y in sources]
+        order = max(1, max(map(len, rows), default=1))
+        self.factors = np.array([row + [n] * (order - len(row)) for row in rows], dtype=int).reshape(-1, order)
 
     def rates(self, c: np.ndarray) -> np.ndarray:
         """k * prod(c^Y) per reaction, shape (..., R)."""
@@ -191,13 +161,7 @@ class MassActionField:
             product = product * padded[..., column]
         return self.k * product
 
-    def g(self, c: np.ndarray) -> np.ndarray:
-        return self.rates(c) @ self.V
-
-    def g_magnitude(self, c: np.ndarray) -> np.ndarray:
-        return self.rates(c) @ self.abs_V
-
-    def __call__(self, c: np.ndarray, terms: bool = False) -> tuple:
+    def evaluate(self, c: np.ndarray, terms: bool = False) -> tuple:
         rates = self.rates(c)
         g = rates @ self.V
 
@@ -207,20 +171,34 @@ class MassActionField:
         f = self.c_in - self.outflow * c + g
         return (f, jacobian, g, rates @ self.abs_V) if terms else (f, jacobian)
 
+    def f(self, c: np.ndarray) -> np.ndarray:
+        return self.evaluate(c)[0]
+
+    def jac(self, c: np.ndarray) -> np.ndarray:
+        return self.evaluate(c)[1]()
+
+    def g(self, c: np.ndarray) -> np.ndarray:
+        return self.rates(c) @ self.V
+
+
+def flow_system(flows: FlowAugmentation) -> MassActionField:
+    """The pure-flow system f(c) = c_in - outflow*c, with equilibrium
+    c_in/outflow: the mass-action field with no reactions."""
+    return MassActionField([], [], [], flows, provenance="flow-only")
+
 
 def numeric_system_from_network(
     net: ReactionNetwork,
     rate_constants: Optional[Dict[str, float]],
     flows: FlowAugmentation,
-) -> NumericSystem:
+) -> MassActionField:
     """Bind a mass-action network to numbers and augment it with ``flows``.
 
     Every reaction needs a numeric rate constant, either on the reaction
     itself or in ``rate_constants`` keyed by reaction label.  The network
-    is compiled once into a ``MassActionField``, the system's evaluator,
-    from which its f, jac, the polynomial reaction terms g(c) =
-    (k * prod(c**Y)) @ V, Y the source and V the reaction vectors, and
-    their magnitudes (k * prod(c**Y)) @ |V| are all taken.
+    is compiled once into the system, a ``MassActionField``, whose
+    polynomial reaction terms are g(c) = (k * prod(c**Y)) @ V, Y the
+    source and V the reaction vectors.
 
     Raises:
         NetworkError: on a reaction without mass-action kinetics, or a
@@ -242,11 +220,7 @@ def numeric_system_from_network(
         vectors.append(r.reaction_vector(n))
     if len(flows.inflow) != n:
         raise NetworkError(f"flow vectors have length {len(flows.inflow)}, expected {n}")
-    field = MassActionField(ks, sources, vectors, flows)
-    return NumericSystem(
-        n, lambda c: field(c)[0], lambda c: field(c)[1](), g=field.g, c_in=field.c_in, outflow=field.outflow,
-        provenance="network", g_magnitude=field.g_magnitude, evaluator=field,
-    )
+    return MassActionField(ks, sources, vectors, flows)
 
 
 # ---------------------------------------------------------------------------
@@ -777,9 +751,9 @@ def _correct(sys: NumericSystem, x0: np.ndarray, lam: float):
 
     Accepts at ||f_lambda|| <= max(CORRECTOR_TOL, CORRECTOR_REL_TOL * s),
     a backward error against the term-wise magnitudes s of f_lambda, taken
-    once, from the evaluation at the predicted point x0.  A system without
-    ``g_magnitude`` has the absolute test alone.  Each iterate is
-    evaluated once.
+    once, from the evaluation at the predicted point x0.  A system whose
+    ``evaluate`` gives no magnitudes has the absolute test alone.  Each
+    iterate is evaluated once.
     """
     x = np.array(x0)
     if np.any(x <= 0):

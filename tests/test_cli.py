@@ -394,7 +394,38 @@ def test_count_rejects_non_finite_flows(capsys, argv):
     assert f"{argv[-2][2:]} rates must be finite and > 0, got inf" in err
 
 
+def test_count_flow_only_without_species_exits_one(capsys):
+    code, out, err = _run(capsys, "count", "--flow-only", "--inflow", ",", "--outflow", ",")
+    assert (code, out) == (1, "")
+    assert err == "error: --flow-only needs at least one species: --inflow and --outflow give no values\n"
+
+
 _K_61 = ["--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=0.5"]
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--starts", "-3", "--starts must be an integer >= 1, got -3"),
+        ("--starts", "0", "--starts must be an integer >= 1, got 0"),
+        ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "run",
+    [
+        ["--fixture", "example-6.1", *_K_61],
+        ["--fixture", "example-6.1", "--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=2"],
+        ["--fixture", "mapk-thron"],
+        ["--flow-only"],
+    ],
+    ids=["certified", "uncertified", "cascade", "flow-only"],
+)
+def test_count_rejects_bad_starts_and_seed_on_every_path(capsys, run, option, value, message):
+    # A certified run makes no Newton starts, but a bad --starts or --seed
+    # is refused there too, before any system is built.
+    code, out, err = _run(capsys, "count", *run, option, value)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("extra", [["--inflow", "1e307"]], ids=["inflow-overflows-M"])

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +16,7 @@ from crncount.numeric import (
     LAMBDA_GRID,
     NEWTON_MAX_ITER,
     BoxDomain,
+    MassActionField,
     MassDomain,
     NumericSystem,
     PathTrackingError,
@@ -247,16 +248,17 @@ def _never_called(*args):
 
 
 def _counting(sys, calls):
-    """sys with its evaluation wrapped to record each call's stack length
-    and whether it asked for the terms; f, jac, g and g_magnitude refuse
-    to be called on their own."""
+    """A copy of sys with its evaluation wrapped to record each call's stack
+    length and whether it asked for the terms; f, jac and g refuse to be
+    called on their own."""
 
-    def evaluator(c, terms=False):
+    def evaluate(c, terms=False):
         calls.append((len(c) if np.ndim(c) == 2 else 1, terms))
         return sys.evaluate(c, terms)
 
-    return dataclasses.replace(sys, evaluator=evaluator, f=_never_called, jac=_never_called,
-                               g=_never_called, g_magnitude=_never_called)
+    counted = copy.copy(sys)
+    counted.evaluate, counted.f, counted.jac, counted.g = evaluate, _never_called, _never_called, _never_called
+    return counted
 
 
 def test_lockstep_newton_evaluates_once_per_trial():
@@ -267,10 +269,11 @@ def test_lockstep_newton_evaluates_once_per_trial():
     X = domain.sample_interior(240, seed=17)
     calls, serial_rows = [], []
     points, residuals, statuses, iterations = _newton(_counting(sys, calls), X, COUNT_TOL)
-    f = lambda c: serial_rows.append(1) or sys.f(c)
+    serial = copy.copy(sys)
+    serial.f = lambda c: serial_rows.append(1) or sys.f(c)
     with np.errstate(over="ignore", invalid="ignore"):
         for x0 in X:
-            _serial_newton(dataclasses.replace(sys, f=f), x0, COUNT_TOL)
+            _serial_newton(serial, x0, COUNT_TOL)
     assert calls[0] == (240, False) and not any(terms for _, terms in calls)
     assert sum(rows for rows, _ in calls) == len(serial_rows) > 2 * 240
     reference = _newton(sys, X, COUNT_TOL)
@@ -694,7 +697,14 @@ def test_boundary_audit_lists_violations_point_by_point():
     # faces in turn, each sampled point at every lambda, and a margin that
     # is not > 0 a violation.  Side c_0 = 0 fails from lambda = 1/3 on.
     flows = FlowAugmentation.uniform(2)
-    sys = flow_system(flows, g=lambda c: _vec(c, -3.0, 0.0), jac_g=lambda c: _mat(c, [0.0, 0.0], [0.0, 0.0]))
+    sys = NumericSystem(
+        2,
+        f=lambda c: _vec(c, 1.0 - c[..., 0] - 3.0, 1.0 - c[..., 1]),
+        jac=lambda c: _mat(c, [-1.0, 0.0], [0.0, -1.0]),
+        g=lambda c: _vec(c, -3.0, 0.0),
+        c_in=np.array([1.0, 1.0]),
+        outflow=np.array([1.0, 1.0]),
+    )
     dom = make_domain([1.0, 1.0], flows, 21.0)
     faces = [(f"c[{j}]=0", dom.sample_side(j, 50, seed=j + 1), lambda fc, j=j: fc[j]) for j in range(2)]
     faces.append(("outer", dom.sample_outer(100, seed=0), lambda fc: -(dom.m @ fc)))
@@ -707,6 +717,41 @@ def test_boundary_audit_lists_violations_point_by_point():
                     reference.append({"face": face, "lambda": lam, "c": list(c), "margin": value})
     assert len(reference) == 150 and {v["lambda"] for v in reference} == {0.5, 0.75, 1.0}
     assert boundary_audit(sys, dom, samples=200, seed=0).violations == reference
+
+
+def test_boundary_audit_reaches_the_one_f_lambda(monkeypatch):
+    # Network and flow-only systems are NumericSystems that inherit
+    # f_lambda, so a counter patched onto the class sees both audits.
+    calls = []
+    f_lambda = NumericSystem.f_lambda
+
+    def counted(sys_, c, lam):
+        calls.append(sys_.provenance)
+        return f_lambda(sys_, c, lam)
+
+    monkeypatch.setattr(NumericSystem, "f_lambda", counted)
+    _, network, dom, _ = _system_61(k3=0.5)
+    assert boundary_audit(network, dom, samples=100, seed=0).clean
+    flows = FlowAugmentation((1.0, 2.0, 3.0), (1.0, 0.5, 2.0))
+    assert boundary_audit(flow_system(flows), make_domain([1.0] * 3, flows, 60.0), samples=100, seed=0).clean
+    # One call per face (n sides and the outer face) and lambda.
+    assert calls == ["network"] * len(LAMBDA_GRID) * 6 + ["flow-only"] * len(LAMBDA_GRID) * 4
+
+
+def test_flow_system_is_the_field_without_reactions():
+    flows = FlowAugmentation((1.0, 2.0, 3.0), (1.0, 0.5, 2.0))
+    sys = flow_system(flows)
+    assert isinstance(sys, MassActionField) and sys.provenance == "flow-only"
+    assert (sys.n, sys.k.shape, sys.V.shape) == (3, (0,), (0, 3))
+    c_in, outflow = np.array(flows.inflow), np.array(flows.outflow)
+    stack = np.random.default_rng(5).uniform(0.1, 5.0, (2, 3, 3))
+    for c in (stack, stack[1, 2]):
+        f, jacobian, g, magnitudes = sys.evaluate(c, terms=True)
+        assert np.array_equal(f, c_in - outflow * c) and np.array_equal(sys.f(c), f)
+        J = np.broadcast_to(-np.diag(outflow), c.shape + (3,))
+        assert np.array_equal(jacobian(), J) and np.array_equal(sys.jac(c), J)
+        assert g.shape == magnitudes.shape == c.shape
+        assert not g.any() and not magnitudes.any() and not sys.g(c).any()
 
 
 def test_box_audit_reports_planted_violations():
