@@ -59,10 +59,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
     text = json.dumps(report, sort_keys=True, indent=2)
-    print(text)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
+        # Written before stdout, so a failed write prints no report.
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --json {args.json}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_ERROR
+    print(text)
     return code
 
 
@@ -188,6 +193,8 @@ def _parse_bindings(pairs):
     out = {}
     for pair in pairs:
         name, _, value = pair.partition("=")
+        if name in out:
+            raise ValueError(f"--k binds {name} more than once")
         try:
             out[name] = float(value)
         except ValueError:

@@ -9,6 +9,7 @@ condition) under which a negative partner term absorbs it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,7 +47,9 @@ def build_mass_action_rate(net: ReactionNetwork) -> SymbolicRate:
     """Species formation rate of a mass-action network, one polynomial per species.
 
     Every rate constant stays the symbol k[label], numeric or not, so that
-    polynomial coefficients stay integer.
+    polynomial coefficients stay integer.  With ``symbolic_jacobian`` it
+    remains the polynomial-arithmetic route to the Jacobian; the census
+    fills it from the closed form (``augmented_mass_action_jacobian``).
     """
     names = net.names
     entries = [Polynomial.zero() for _ in range(net.n)]
@@ -77,38 +80,62 @@ def symbolic_jacobian(rate: SymbolicRate) -> List[List[Polynomial]]:
 def build_general_jacobian(net: ReactionNetwork, outflow: str = UNIT_OUTFLOW) -> List[List[Polynomial]]:
     """Jacobian under general monotone kinetics, in kinetic-partial symbols.
 
-    Entry (j, i) sums (target - source)_j times the partial symbol of each
-    reaction depending on species i, minus the outflow diagonal of
-    ``_subtract_outflows``.
+    Entry (j, i) is filled in closed form: each reaction r depending on
+    species i contributes the term v_rj * K[r;i], with v_r = target -
+    source, so no polynomial arithmetic runs.  Then ``_subtract_outflows``
+    subtracts the outflow diagonal.
     """
     names = net.names
     n = net.n
-    J = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
+    J: List[List[Dict[Monomial, int]]] = [[{} for _ in range(n)] for _ in range(n)]
     for r in net.reactions:
         kin = r.kinetics
         if not isinstance(kin, GeneralMonotone):
             raise NetworkError(f"reaction {r.label} does not have general monotone kinetics")
         if not kin.dependencies and not r.source.is_empty:
             raise NetworkError(f"reaction {r.label} has an empty dependency set")
-        vec = r.reaction_vector(n)
-        for i in kin.dependencies:
-            partial = kinetic_partial(r.label, i, names[i], kin.sign_of(i))
-            for j, coeff in enumerate(vec):
-                if coeff:
-                    J[j][i] = J[j][i] + Polynomial.term(coeff, ((partial, 1),))
-    _subtract_outflows(J, net, outflow)
-    return J
+        changes = [(j, v) for j, v in enumerate(r.reaction_vector(n)) if v]
+        for i, sign in kin.partial_signs:
+            mono = ((kinetic_partial(r.label, i, names[i], sign), 1),)
+            for j, v in changes:
+                J[j][i][mono] = v
+    return _with_outflows(J, net, outflow)
 
 
 def augmented_mass_action_jacobian(net: ReactionNetwork, outflow: str = UNIT_OUTFLOW) -> List[List[Polynomial]]:
     """Jacobian of the mass-action system augmented with inflows and outflows.
 
-    Inflows are constants and never reach the Jacobian; outflows subtract
-    the diagonal (1 per species by default, symbols with "symbolic").
+    Entry (j, i) is filled in closed form: reaction r with source y_r and
+    vector v_r contributes v_rj * y_ri * k_r * c^(y_r - e_i), so no
+    polynomial arithmetic runs.  Every term of an entry has its own rate
+    constant, so no two of them merge.  Inflows are constants and never
+    reach the Jacobian; outflows subtract the diagonal (1 per species by
+    default, symbols with "symbolic").  ``symbolic_jacobian`` of
+    ``build_mass_action_rate`` remains the polynomial-arithmetic route to
+    the same matrix.
     """
-    J = symbolic_jacobian(build_mass_action_rate(net))
-    _subtract_outflows(J, net, outflow)
-    return J
+    names = net.names
+    n = net.n
+    conc = [concentration(i, names[i]) for i in range(n)]
+    J: List[List[Dict[Monomial, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for r in net.reactions:
+        if not isinstance(r.kinetics, MassAction):
+            raise NetworkError(f"reaction {r.label} does not have mass-action kinetics")
+        k = ((rate_constant(r.label), 1),)
+        source = r.source.coeffs
+        changes = [(j, v) for j, v in enumerate(r.reaction_vector(n)) if v]
+        for i, y in source:
+            mono = tuple((conc[s], e - (s == i)) for s, e in source if s != i or e > 1) + k
+            for j, v in changes:
+                J[j][i][mono] = v * y
+    return _with_outflows(J, net, outflow)
+
+
+def _with_outflows(J: List[List[Dict[Monomial, int]]], net: ReactionNetwork, outflow: str) -> List[List[Polynomial]]:
+    """The Jacobian of the entries' term maps, less the outflow diagonal."""
+    matrix = [[Polynomial(entry) for entry in row] for row in J]
+    _subtract_outflows(matrix, net, outflow)
+    return matrix
 
 
 def outflow_constant(name: str) -> Indeterminate:
@@ -165,31 +192,31 @@ def sign_census(det: Polynomial, n: int) -> SignSummary:
     The reference sign is (-1)^n, the degree of the pure-flow system;
     a term is anomalous when its definite pointwise sign is the opposite.
     Terms containing an unknown-sign partial are counted separately,
-    never silently resolved.
+    never silently resolved.  Each packed term is tested against the
+    unknown-sign and parity masks inline.
     """
     reference = -1 if n % 2 else 1
-    histogram: Dict[int, int] = {}
-    anomalous: List[Tuple[int, int]] = []
-    unknown = 0
     packed = det.packed
-    sign = packed.sign
-    for m, c in packed.coefficients.items():
-        ms = sign(m)
-        if ms == 0:
-            unknown += 1
-            continue
-        histogram[c] = histogram.get(c, 0) + 1
-        if ms * c * reference < 0:
-            anomalous.append((m, c))
-    terms = [AnomalousTerm(packed.decode(m), c, packed.decode(packed.concentration(m))) for m, c in anomalous]
+    coefficients = packed.coefficients
+    # The masks PackedTerms.sign and .concentration read, applied inline.
+    unknown_mask, parity, concentration_mask = packed._unknown, packed._parity, packed._concentration
+    known = {m: c for m, c in coefficients.items() if not m & unknown_mask} if unknown_mask else coefficients
+    # A term is anomalous when an odd number of c < 0, an odd parity
+    # exponent sum and reference = -1 hold.
+    flip = reference < 0
+    if parity:
+        anomalous = [(m, c) for m, c in known.items() if (c < 0) ^ flip ^ ((m & parity).bit_count() & 1)]
+    else:
+        anomalous = [(m, c) for m, c in known.items() if (c < 0) != flip]
+    terms = [AnomalousTerm(packed.decode(m), c, packed.decode(m & concentration_mask)) for m, c in anomalous]
     terms.sort(key=lambda t: t.monomial)
     return SignSummary(
         n=n,
         reference_sign=reference,
-        total_terms=len(packed.coefficients),
-        coefficient_histogram=histogram,
+        total_terms=len(coefficients),
+        coefficient_histogram=dict(Counter(known.values())),
         anomalous_terms=terms,
-        unknown_sign_terms=unknown,
+        unknown_sign_terms=len(coefficients) - len(known),
     )
 
 
@@ -261,62 +288,84 @@ def dominance_conditions(det: Polynomial, census: SignSummary) -> List[Dominance
     condition takes the sharp form ``k <= bound`` (further such partners
     become alternatives, each sufficient on its own).  Otherwise the
     group's rate factors are compared after cancelling their common
-    monomial factor.  Groups are disjoint by construction, so the primary
-    inequalities together certify one-signedness of the determinant.
+    monomial factor.  Each group's inequality is derived once; every
+    anomalous term of the group gets its own condition, holding its own
+    copies of the term lists.  Groups are disjoint by construction, so
+    the primary inequalities together certify one-signedness of the
+    determinant.
     """
+    if not census.anomalous_terms:
+        return []
     reference = census.reference_sign
     packed = det.packed
     keys = [packed.encode(t.concentration_part) for t in census.anomalous_terms]
     anomalous_by_key: Dict[int, List[AnomalousTerm]] = {}
     for key, term in zip(keys, census.anomalous_terms):
         anomalous_by_key.setdefault(key, []).append(term)
-    # Only the partners in an anomalous term's group are decoded.
+    # Only the partners in an anomalous term's group are decoded; the
+    # masks are those of sign_census.
     partners_by_key: Dict[int, List[Tuple[Monomial, int]]] = {key: [] for key in anomalous_by_key}
-    sign, concentration = packed.sign, packed.concentration
+    group_of = partners_by_key.get
+    unknown_mask, parity, concentration_mask = packed._unknown, packed._parity, packed._concentration
+    flip = reference < 0
     for m, c in packed.coefficients.items():
-        partners = partners_by_key.get(concentration(m))
-        if partners is not None and sign(m) * c * reference > 0:
+        partners = group_of(m & concentration_mask)
+        if partners is not None and not m & unknown_mask and (c < 0) == flip ^ ((m & parity).bit_count() & 1):
             partners.append((packed.decode(m), c))
 
     conditions = []
+    groups: Dict[int, tuple] = {}  # key -> _group_inequality of the group, derived once
     for key, term in zip(keys, census.anomalous_terms):
         partners = partners_by_key[key]
-        co_anomalous = anomalous_by_key[key]
         if not partners:
             conditions.append(DominanceCondition(term, False))
             continue
-        single = sorted(
-            (
-                (mono_div(term.monomial, m), m, c)
-                for m, c in partners
-                if mono_divides(m, term.monomial) and len(mono_div(term.monomial, m)) == 1
-            ),
-            key=lambda qmc: (mono_degree(qmc[0]), qmc[0]),
+        co_anomalous = anomalous_by_key[key]
+        if len(co_anomalous) == 1:
+            single = sorted(
+                (
+                    (mono_div(term.monomial, m), m, c)
+                    for m, c in partners
+                    if mono_divides(m, term.monomial) and len(mono_div(term.monomial, m)) == 1
+                ),
+                key=lambda qmc: (mono_degree(qmc[0]), qmc[0]),
+            )
+            if single:
+                quotient, _, c2 = single[0]
+                bound = Fraction(abs(c2), abs(term.coefficient))
+                alternatives = [
+                    _quotient_inequality(q, Fraction(abs(c), abs(term.coefficient))) for q, _, c in single[1:]
+                ]
+                conditions.append(
+                    DominanceCondition(term, True, _quotient_inequality(quotient, bound), quotient, bound, alternatives)
+                )
+                continue
+        if key not in groups:
+            groups[key] = _group_inequality(co_anomalous, partners)
+        inequality, lhs_terms, rhs_terms = groups[key]
+        conditions.append(
+            DominanceCondition(term, True, inequality, lhs_terms=list(lhs_terms), rhs_terms=list(rhs_terms))
         )
-        if len(co_anomalous) == 1 and single:
-            quotient, _, c2 = single[0]
-            bound = Fraction(abs(c2), abs(term.coefficient))
-            alternatives = [
-                _quotient_inequality(q, Fraction(abs(c), abs(term.coefficient))) for q, _, c in single[1:]
-            ]
-            conditions.append(
-                DominanceCondition(term, True, _quotient_inequality(quotient, bound), quotient, bound, alternatives)
-            )
-        else:
-            # Whole-group comparison; with several anomalous terms in the
-            # group they all land on the left-hand side.
-            involved = [(t.monomial, abs(t.coefficient)) for t in co_anomalous] + partners
-            g = involved[0][0]
-            for m2, _ in involved[1:]:
-                g = mono_gcd(g, m2)
-            lhs_terms = [(abs(t.coefficient), mono_div(t.monomial, g)) for t in co_anomalous]
-            rhs_terms = [(abs(c2), mono_div(m2, g)) for m2, c2 in sorted(partners)]
-            lhs = " + ".join(f"{c}*{mono_format(m)}" for c, m in lhs_terms)
-            rhs = " + ".join(f"{c}*{mono_format(m)}" for c, m in rhs_terms)
-            conditions.append(
-                DominanceCondition(term, True, f"{lhs} <= {rhs}", lhs_terms=lhs_terms, rhs_terms=rhs_terms)
-            )
     return conditions
+
+
+def _group_inequality(
+    co_anomalous: List[AnomalousTerm], partners: List[Tuple[Monomial, int]]
+) -> Tuple[str, List[Tuple[int, Monomial]], List[Tuple[int, Monomial]]]:
+    """Whole-group comparison (inequality, lhs_terms, rhs_terms): every
+    anomalous term of the group on the left, every partner on the right,
+    each divided by the gcd of all of them."""
+    involved = [t.monomial for t in co_anomalous] + [m for m, _ in partners]
+    g = involved[0]
+    for m in involved[1:]:
+        if not g:
+            break
+        g = mono_gcd(g, m)
+    lhs_terms = [(abs(t.coefficient), mono_div(t.monomial, g) if g else t.monomial) for t in co_anomalous]
+    rhs_terms = [(abs(c), mono_div(m, g) if g else m) for m, c in sorted(partners)]
+    lhs = " + ".join(f"{c}*{mono_format(m)}" for c, m in lhs_terms)
+    rhs = " + ".join(f"{c}*{mono_format(m)}" for c, m in rhs_terms)
+    return f"{lhs} <= {rhs}", lhs_terms, rhs_terms
 
 
 def _quotient_inequality(quotient: Monomial, bound: Fraction) -> str:

@@ -367,10 +367,11 @@ def make_domain(m, flows: FlowAugmentation, bound: float) -> MassDomain:
 
     Raises:
         ValueError: reporting the violated inequality when the bound is
-            not strictly larger than m . c_in, or when it is not finite.
+            not strictly larger than m . c_in, when it is not finite, or
+            when m . c_in itself overflows.
     """
     entries = m.as_floats() if isinstance(m, MassVector) else [float(x) for x in m]
-    min_bound = float(np.dot(entries, flows.inflow))
+    min_bound = _mass_inflow(entries, flows)
     if not bound > min_bound:
         raise ValueError(f"bound M = {bound} must satisfy M > m . c_in = {min_bound}")
     if not math.isfinite(bound):
@@ -381,7 +382,16 @@ def make_domain(m, flows: FlowAugmentation, bound: float) -> MassDomain:
 def default_domain(m, flows: FlowAugmentation) -> MassDomain:
     """Domain with M = 10 * (m . c_in)."""
     entries = m.as_floats() if isinstance(m, MassVector) else [float(x) for x in m]
-    return make_domain(m, flows, 10.0 * float(np.dot(entries, flows.inflow)))
+    return make_domain(m, flows, 10.0 * _mass_inflow(entries, flows))
+
+
+def _mass_inflow(entries, flows: FlowAugmentation) -> float:
+    """m . c_in, or a ValueError naming the inflow when it overflows."""
+    with np.errstate(over="ignore"):
+        value = float(np.dot(entries, flows.inflow))
+    if not math.isfinite(value):
+        raise ValueError(f"m . c_in = {value} overflows for inflow {', '.join(map(str, flows.inflow))}")
+    return value
 
 
 # ---------------------------------------------------------------------------

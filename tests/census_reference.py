@@ -1,4 +1,6 @@
-"""The sign census on tuple monomials: the oracle for the packed census.
+"""The sign census on tuple monomials: the oracle for the packed census,
+and the Jacobians built by polynomial arithmetic: the oracle for the
+closed-form builders.
 
 ``reference_sign_census`` and ``reference_dominance_conditions`` classify
 every term of ``det.terms`` one (indeterminate, exponent) pair at a time,
@@ -6,18 +8,32 @@ as ``jacobian.sign_census`` and ``jacobian.dominance_conditions`` did
 before they read packed exponent vectors.  Tests require both forms to
 give equal summaries and conditions.  ``dp_level_masks`` counts the
 states of ``determinant_expand``'s subset DP from the nonzero pattern.
+``reference_mass_action_jacobian`` differentiates the polynomial rate, and
+``reference_general_jacobian`` sums one polynomial term at a time, as
+``augmented_mass_action_jacobian`` and ``build_general_jacobian`` did before
+they filled each entry from its closed form.
 """
 
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from crncount.dsl import parse_network
-from crncount.jacobian import AnomalousTerm, DominanceCondition, SignSummary, _quotient_inequality
+from crncount.jacobian import (
+    AnomalousTerm,
+    DominanceCondition,
+    SignSummary,
+    _quotient_inequality,
+    _subtract_outflows,
+    build_mass_action_rate,
+    symbolic_jacobian,
+)
+from crncount.network import GeneralMonotone, NetworkError
 from crncount.polynomial import (
     CONCENTRATION,
     SIGN_UNKNOWN,
     Monomial,
     Polynomial,
+    kinetic_partial,
     mono_degree,
     mono_div,
     mono_divides,
@@ -31,6 +47,34 @@ def ring(n: int):
     pairs = (n + 1) // 2
     lines = [f"S{i}+S{i + 1} <-> X{i}" for i in range(1, pairs)] + [f"S{pairs} <-> 2S1"]
     return parse_network("\n".join(lines))
+
+
+def reference_mass_action_jacobian(net, outflow: str):
+    """The augmented mass-action Jacobian by differentiating the polynomial rate."""
+    J = symbolic_jacobian(build_mass_action_rate(net))
+    _subtract_outflows(J, net, outflow)
+    return J
+
+
+def reference_general_jacobian(net, outflow: str):
+    """The general-kinetics Jacobian as a sum of one-term polynomials."""
+    names = net.names
+    n = net.n
+    J = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
+    for r in net.reactions:
+        kin = r.kinetics
+        if not isinstance(kin, GeneralMonotone):
+            raise NetworkError(f"reaction {r.label} does not have general monotone kinetics")
+        if not kin.dependencies and not r.source.is_empty:
+            raise NetworkError(f"reaction {r.label} has an empty dependency set")
+        vec = r.reaction_vector(n)
+        for i in kin.dependencies:
+            partial = kinetic_partial(r.label, i, names[i], kin.sign_of(i))
+            for j, coeff in enumerate(vec):
+                if coeff:
+                    J[j][i] = J[j][i] + Polynomial.term(coeff, ((partial, 1),))
+    _subtract_outflows(J, net, outflow)
+    return J
 
 
 def dp_level_masks(supports: List[int], order: List[int]) -> List[int]:
@@ -149,3 +193,48 @@ def reference_dominance_conditions(det: Polynomial, census: SignSummary) -> List
                 DominanceCondition(term, True, f"{lhs} <= {rhs}", lhs_terms=lhs_terms, rhs_terms=rhs_terms)
             )
     return conditions
+
+
+def random_network_text(rng, general: bool = False) -> str:
+    """DSL text of a seeded random network on up to 5 species, 2-6 lines.
+
+    Complexes hold up to two species with coefficients 1-3, or none (``0``);
+    about one reaction in four is catalytic (a species on both sides, as in
+    ``A+B -> A+C``) and about one line in three is reversible.  With
+    ``general``, about half the irreversible lines declare general kinetics
+    with drawn dependencies and signs (+, - or ?).  Flow reactions,
+    ``y -> y`` and repeated reactions are never drawn.
+    """
+    names = [f"S{i}" for i in range(rng.randint(2, 5))]
+
+    def draw_complex():
+        return {name: rng.randint(1, 3) for name in rng.sample(names, rng.randint(0, 2))}
+
+    def text(cplx):
+        return "+".join(f"{c if c > 1 else ''}{name}" for name, c in sorted(cplx.items())) or "0"
+
+    seen, lines, present = set(), [], set()
+    for _ in range(rng.randint(2, 6)):
+        while True:
+            source, target = draw_complex(), draw_complex()
+            if source and rng.random() < 0.25:
+                shared = rng.choice(sorted(source))
+                target[shared] = source[shared]  # a catalyst
+            pair = (text(source), text(target))
+            one_side = source or target
+            flow = not (source and target) and list(one_side.values()) == [1]
+            if source != target and not flow and pair not in seen:
+                break
+        reversible = rng.random() < 0.3 and pair[::-1] not in seen
+        seen.update((pair, pair[::-1]) if reversible else (pair,))
+        lines.append((pair, reversible))
+        present.update(source, target)
+    present = sorted(present)
+    out = []
+    for (source, target), reversible in lines:
+        line = f"{source} {'<->' if reversible else '->'} {target}"
+        if general and not reversible and rng.random() < 0.5:
+            deps = rng.sample(present, rng.randint(1, len(present)))
+            line += f" ; kinetics=general deps={','.join(deps)} signs={','.join(rng.choice('+-?') + d for d in deps)}"
+        out.append(line)
+    return "\n".join(out) + "\n"

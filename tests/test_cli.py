@@ -278,6 +278,16 @@ def test_json_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text()) == json.loads(out)
 
 
+def test_json_path_that_cannot_be_written_exits_one_before_printing(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = _run(capsys, "census", "--fixture", "table1-ii", "--json", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write --json {target}: No such file or directory\n"
+    code, out, err = _run(capsys, "census", "--fixture", "table1-ii", "--json", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write --json {tmp_path}: Is a directory\n"
+
+
 def test_unknown_fixture_exits_one(capsys):
     code, _, err = _run(capsys, "census", "--fixture", "nope")
     assert code == 1
@@ -326,10 +336,10 @@ def test_count_non_unit_outflow_uses_symbolic_census(capsys):
 
 @pytest.mark.parametrize("binding", ["typo=3", "C->2A=0", "C->2A=-0.5", "C->2A=nan", "C->2A=inf"])
 def test_count_rejects_bad_rate_bindings(capsys, binding):
-    code, out, err = _run(
-        capsys, "count", "--fixture", "example-6.1", "--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=0.5",
-        "--k", binding,
-    )
+    # The bad binding takes the place of a valid one of the same name: a
+    # name bound twice is refused on its own.
+    rates = {"A+B->P": "1", "B+C->Q": "1", "C->2A": "0.5", **dict([binding.split("=")])}
+    code, out, err = _run(capsys, "count", "--fixture", "example-6.1", *(f"--k={k}={v}" for k, v in rates.items()))
     assert code == 1
     assert out == ""
     assert ("left unbound by the network: typo" if binding.startswith("typo") else "must be finite and > 0") in err
@@ -426,6 +436,46 @@ def test_count_rejects_bad_starts_and_seed_on_every_path(capsys, run, option, va
     # is refused there too, before any system is built.
     code, out, err = _run(capsys, "count", *run, option, value)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--fixture", "example-6.1", *_K_61, "--k", "C->2A=3"], "C->2A"),
+        (["--fixture", "example-6.1", *_K_61, "--k", "C->2A=0"], "C->2A"),
+        (["--fixture", "example-6.1", "--k", "A+B->P=1", "--k", "A+B->P=1"], "A+B->P"),
+        (["--fixture", "mapk-thron", "--k", "c0=2", "--k", "c0=3"], "c0"),
+        (["--fixture", "mapk-cube", "--k", "mu=2", "--k", "mu=2"], "mu"),
+    ],
+    ids=["network-last-differs", "network-last-invalid", "network-same-value", "thron", "cube"],
+)
+def test_count_rejects_a_rate_bound_twice(capsys, argv, name):
+    code, out, err = _run(capsys, "count", *argv)
+    assert (code, out, err) == (1, "", f"error: --k binds {name} more than once\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--fixture", "example-6.1", *_K_61, "--inflow", "1e308"],
+        ["--flow-only", "--inflow", "1e308,1e308"],
+    ],
+    ids=["network", "flow-only"],
+)
+def test_count_overflowing_inflow_exits_in_one_line(capsys, argv):
+    # pytest turns numpy's overflow RuntimeWarning into an error, so a
+    # warning on the way fails this test as well.
+    code, out, err = _run(capsys, "count", *argv)
+    inflow = ", ".join(["1e+308"] * (5 if "--fixture" in argv else 2))
+    assert (code, out, err) == (1, "", f"error: m . c_in = inf overflows for inflow {inflow}\n")
+
+
+def test_count_domain_bound_is_ten_times_the_mass_inflow(capsys):
+    inflow = [0.1, 0.2, 0.3, 0.7, 1.3]
+    code, out, _ = _run(capsys, "count", "--fixture", "example-6.1", *_K_61, "--inflow", ",".join(map(str, inflow)))
+    m = conserved_mass_vector(fixture_network("example-6.1")).as_floats()
+    assert code == 0
+    assert json.loads(out)["domain"]["M"] == 10.0 * float(np.dot(m, inflow))
 
 
 @pytest.mark.parametrize("extra", [["--inflow", "1e307"]], ids=["inflow-overflows-M"])

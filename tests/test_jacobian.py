@@ -1,3 +1,6 @@
+import random
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from crncount.jacobian import (
     sign_census,
     symbolic_jacobian,
 )
-from crncount.network import NetworkError, with_general_kinetics
+from crncount.network import MassAction, NetworkError, with_general_kinetics
 from crncount.polynomial import (
     Polynomial,
     concentration,
@@ -23,11 +26,20 @@ from crncount.polynomial import (
     evaluate,
     kinetic_partial,
     mono_format,
+    mono_gcd,
     rate_constant,
     substitute,
 )
 
-from census_reference import reference_dominance_conditions, reference_sign_census, ring
+from census_reference import (
+    random_network_text,
+    reference_dominance_conditions,
+    reference_general_jacobian,
+    reference_mass_action_jacobian,
+    reference_partners,
+    reference_sign_census,
+    ring,
+)
 
 PV = Polynomial.variable
 NET_51 = "2A1 <-> A1+A2\nA1+A2 <-> 2A2\n2A2 <-> 2A1\n"
@@ -386,3 +398,104 @@ def test_packed_census_matches_tuple_reference_on_arithmetic(terms, n):
             term = term * PV(x) ** e
         det = det + term
     _assert_census_matches_reference(det, n)
+
+
+def _random_networks(count, seed):
+    """``count`` seeded DSL networks; every third one declares general kinetics on some lines."""
+    rng = random.Random(seed)
+    return [parse_network(random_network_text(rng, general=i % 3 == 0)) for i in range(count)]
+
+
+def _is_mass_action(net):
+    return all(isinstance(r.kinetics, MassAction) for r in net.reactions)
+
+
+def _assert_same_matrix(J, reference):
+    assert len(J) == len(reference)
+    for row, ref_row in zip(J, reference):
+        # Polynomial equality ignores display names; str compares them too.
+        assert row == ref_row
+        assert [str(entry) for entry in row] == [str(entry) for entry in ref_row]
+
+
+def test_closed_form_jacobians_match_the_polynomial_route():
+    fixtures = [fixture_network(name) for name in sorted(NETWORK_FIXTURES)]
+    cases = fixtures + [ring(n) for n in range(5, 18, 2)] + _random_networks(300, 19)
+    mass_action = catalysts = empty = coefficient_3 = 0
+    for net in cases:
+        is_mass_action = _is_mass_action(net)
+        mass_action += is_mass_action
+        catalysts += any(set(r.source.support) & set(r.target.support) for r in net.reactions)
+        empty += any(r.source.is_empty or r.target.is_empty for r in net.reactions)
+        coefficient_3 += any(c == 3 for r in net.reactions for _, c in r.source.coeffs + r.target.coeffs)
+        general = with_general_kinetics(net)
+        for outflow in ("unit", "symbolic"):
+            _assert_same_matrix(build_general_jacobian(general, outflow), reference_general_jacobian(general, outflow))
+            if is_mass_action:
+                J = augmented_mass_action_jacobian(net, outflow)
+                _assert_same_matrix(J, reference_mass_action_jacobian(net, outflow))
+            else:
+                with pytest.raises(NetworkError) as route:
+                    reference_mass_action_jacobian(net, outflow)
+                with pytest.raises(NetworkError, match="mass-action") as closed:
+                    augmented_mass_action_jacobian(net, outflow)
+                assert str(closed.value) == str(route.value)
+    # The random networks reach every shape the closed forms distinguish.
+    assert len(cases) >= 300 + len(NETWORK_FIXTURES) + 7
+    assert mass_action >= 200 and len(cases) - mass_action >= 50
+    assert min(catalysts, empty, coefficient_3) >= 50
+
+
+def _random_jacobians():
+    """(J, n) of 300 seeded networks: general kinetics always, mass action where
+    the network has it, each in both outflow modes."""
+    for net in _random_networks(300, 23):
+        for outflow in ("unit", "symbolic"):
+            yield build_general_jacobian(with_general_kinetics(net), outflow), net.n
+            if _is_mass_action(net):
+                yield augmented_mass_action_jacobian(net, outflow), net.n
+
+
+def test_census_and_dominance_conditions_match_reference_on_random_networks():
+    multi_groups = empty_gcd_groups = sharp = 0
+    for J, n in _random_jacobians():
+        det = determinant_expand(J)
+        census = sign_census(det, n)
+        assert census == reference_sign_census(det, n)
+        conditions = dominance_conditions(det, census)
+        assert conditions == reference_dominance_conditions(det, census)
+        partners = reference_partners(det, census.reference_sign)
+        groups = {}
+        for term in census.anomalous_terms:
+            groups.setdefault(term.concentration_part, []).append(term.monomial)
+        for key, monomials in groups.items():
+            if len(monomials) >= 2:
+                multi_groups += 1
+            involved = monomials + [m for m, _ in partners.get(key, [])]
+            if len(involved) > len(monomials) and reduce(mono_gcd, involved) == ():
+                empty_gcd_groups += 1
+        sharp += sum(c.quotient is not None for c in conditions)
+    # Both paths the rewrite shortcuts are taken, and the sharp form too.
+    assert multi_groups >= 100
+    assert empty_gcd_groups >= 100
+    assert sharp >= 100
+
+
+def test_dominance_conditions_of_one_group_hold_their_own_lists():
+    net = parse_network("S1+E <-> ES1\nS2+E <-> ES2\nS2+ES1 <-> ES1S2\nES1S2 <-> S1+ES2\nES1S2 -> E+P\n")
+    det = determinant_expand(augmented_mass_action_jacobian(net))
+    first, second = dominance_conditions(det, sign_census(det, net.n))
+    assert first.inequality == second.inequality
+    assert first.rhs_terms == second.rhs_terms and first.lhs_terms == second.lhs_terms
+    lhs, rhs = list(second.lhs_terms), list(second.rhs_terms)
+    first.rhs_terms.clear()
+    first.lhs_terms.append((1, ()))
+    assert (second.lhs_terms, second.rhs_terms) == (lhs, rhs)
+
+
+def test_dominance_conditions_of_a_one_signed_census_are_empty():
+    net = fixture_network("table1-ii")
+    det = determinant_expand(augmented_mass_action_jacobian(net))
+    census = sign_census(det, net.n)
+    assert census.certified_one_signed
+    assert dominance_conditions(det, census) == []

@@ -2,18 +2,21 @@
 
 Usage, from anywhere:
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S \
-        [--seed 7] [--out BENCH.json]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--workload W2 ...] \
+        --pairs N --seconds S [--seed 7] [--out BENCH.json]
 
-Runs the unmodified ``bench/run.py --workload W --seed SEED --seconds S`` of
-each checkout in turn, N times each, alternating which side runs first, one
-run at a time.  Each run's last stdout line is its JSON result.  For every
-end-to-end metric of the CHANGE checkout's ``BENCHMARK.json`` it reports, per
-side, the median, the quartiles and their distance (IQR), and the number of
-pairs the side won by the metric's ``better`` direction (ties count for
-neither).  The figures and every run's raw values are written under the
-workload's key of the ``--out`` JSON file, which keeps the other workloads
-already in it.
+For each workload in turn, runs the unmodified ``bench/run.py --workload W
+--seed SEED --seconds S`` of each checkout, N times each, alternating which
+side runs first, one run at a time.  Each run's last stdout line is its JSON
+result.  For every end-to-end metric of the CHANGE checkout's
+``BENCHMARK.json`` it reports, per side, the median, the quartiles and their
+distance (IQR), and the number of pairs the side won by the metric's
+``better`` direction (ties count for neither).  The figures and every run's
+raw values are written under the workload's key of the ``--out`` JSON file,
+which keeps the other workloads already in it; the file is rewritten after
+each workload, so an interrupted run keeps the workloads it finished.  A run
+that exits non-zero stops the tool with exit code 1, naming the workload and
+side and printing the tail of that run's stderr.
 """
 
 import argparse
@@ -26,9 +29,19 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+STDERR_TAIL = 20
+
+
+class RunFailed(Exception):
+    """One benchmark run exited non-zero."""
+
+
+def run_once(checkout: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        tail = "\n".join(out.stderr.splitlines()[-STDERR_TAIL:])
+        raise RunFailed(f"workload {workload}, {side} side ({checkout}): bench/run.py exited {out.returncode}\n{tail}")
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -52,11 +65,24 @@ def compare(runs: dict, metrics: list) -> dict:
     return out
 
 
+def run_workload(checkouts: dict, workload: str, args) -> dict:
+    """Alternating pairs of runs of one workload: {side: [result, ...]}."""
+    runs = {side: [] for side in SIDES}
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            result = run_once(checkouts[side], side, workload, args.seed, args.seconds)
+            runs[side].append(result)
+            figures = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
+            print(f"{workload} pair {pair} {side}: correct={result['correct']} failed={result['failed']} {figures}", flush=True)
+    return runs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True, help="may be given more than once")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=7)
@@ -67,33 +93,30 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
-    runs = {side: [] for side in SIDES}
-    for pair in range(args.pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for side in order:
-            result = run_once(checkouts[side], args.workload, args.seed, args.seconds)
-            runs[side].append(result)
-            figures = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
-            print(f"pair {pair} {side}: correct={result['correct']} failed={result['failed']} {figures}", flush=True)
-
-    report = json.loads(args.out.read_text()) if args.out.exists() else {}
-    report[args.workload] = {
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "pairs": args.pairs,
-        "order": "parent first in even pairs, change first in odd pairs",
-        "correct": {side: all(run["correct"] for run in runs[side]) for side in SIDES},
-        "failed": {side: sum(run["failed"] for run in runs[side]) for side in SIDES},
-        "metrics": compare(runs, metrics),
-        "runs": {side: [{k: v["value"] for k, v in run["metrics"].items()} for run in runs[side]] for side in SIDES},
-    }
-    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    for name, row in report[args.workload]["metrics"].items():
-        p, c = row["parent"], row["change"]
-        print(
-            f"{name:12s} parent {p['median']:.4g} (IQR {p['iqr']:.3g}, wins {p['wins']})"
-            f"  change {c['median']:.4g} (IQR {c['iqr']:.3g}, wins {c['wins']}) {row['unit']}"
-        )
+    for workload in args.workload:
+        try:
+            runs = run_workload(checkouts, workload, args)
+        except RunFailed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        report = json.loads(args.out.read_text()) if args.out.exists() else {}
+        report[workload] = {
+            "seed": args.seed,
+            "seconds": args.seconds,
+            "pairs": args.pairs,
+            "order": "parent first in even pairs, change first in odd pairs",
+            "correct": {side: all(run["correct"] for run in runs[side]) for side in SIDES},
+            "failed": {side: sum(run["failed"] for run in runs[side]) for side in SIDES},
+            "metrics": compare(runs, metrics),
+            "runs": {side: [{k: v["value"] for k, v in run["metrics"].items()} for run in runs[side]] for side in SIDES},
+        }
+        args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        for name, row in report[workload]["metrics"].items():
+            p, c = row["parent"], row["change"]
+            print(
+                f"{workload} {name:12s} parent {p['median']:.4g} (IQR {p['iqr']:.3g}, wins {p['wins']})"
+                f"  change {c['median']:.4g} (IQR {c['iqr']:.3g}, wins {c['wins']}) {row['unit']}"
+            )
     return 0
 
 
