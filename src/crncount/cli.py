@@ -258,6 +258,9 @@ def _cmd_count(args):
             verdict = check_mass_vector(net, m)
             if verdict.value == "neither":
                 raise NetworkError("--mass vector is neither conserved nor dissipating for this network")
+            for x, part in zip(m, args.mass.split(",")):
+                if x > sys.float_info.max or float(x) == 0.0:  # x > 0: the verdict is not "neither"
+                    raise ValueError(f"--mass entry {part!r} is out of float range")
             m_floats = [float(x) for x in m]
         else:
             mv = conserved_mass_vector(net)

@@ -51,7 +51,8 @@ def parse_network(text: str) -> ReactionNetwork:
     Raises:
         ParseError: on syntax errors, ``y -> y`` reactions, flow
             reactions, zero, negative or over-32-bit stoichiometric
-            coefficients, unknown annotations, or an input with no reactions.
+            coefficients, a ``k=`` that ``MassAction`` rejects (not finite
+            and positive), unknown annotations, or an input with no reactions.
     """
     species_order: List[str] = []
     species_index: Dict[str, int] = {}
@@ -138,8 +139,6 @@ def _parse_annotations(lineno: int, ann_part: str, reversible: bool) -> dict:
                 ann["k"] = float(value)
             except ValueError:
                 raise ParseError(lineno, f"bad rate constant {value!r}")
-            if not ann["k"] > 0:
-                raise ParseError(lineno, f"rate constant must be positive, got {value}")
         elif key == "kinetics":
             if value != "general":
                 raise ParseError(lineno, f"unknown kinetics annotation {value!r}")

@@ -1,10 +1,12 @@
 """Symbolic species-formation rates, Jacobians, and determinant sign censuses.
 
-The census classifies every term of an expanded Jacobian determinant by
-its pointwise sign on the open positive orthant.  Terms whose sign equals
--(-1)^n oppose the degree of the pure-flow system and are "anomalous";
-for each one we derive a sufficient parameter inequality (a dominance
-condition) under which a negative partner term absorbs it.
+The Jacobian builders fill every entry's term map in closed form, the
+outflow diagonal included.  The census classifies every term of the
+expanded determinant by its pointwise sign on the open positive orthant.
+Terms whose sign equals -(-1)^n oppose the degree of the pure-flow system
+and are "anomalous"; for each one we derive a sufficient parameter
+inequality (a dominance condition) under which a reference-sign partner
+term absorbs it.
 """
 
 from __future__ import annotations
@@ -82,24 +84,18 @@ def build_general_jacobian(net: ReactionNetwork, outflow: str = UNIT_OUTFLOW) ->
 
     Entry (j, i) is filled in closed form: each reaction r depending on
     species i contributes the term v_rj * K[r;i], with v_r = target -
-    source, so no polynomial arithmetic runs.  Then ``_subtract_outflows``
-    subtracts the outflow diagonal.
+    source, so no polynomial arithmetic runs.
     """
     names = net.names
-    n = net.n
-    J: List[List[Dict[Monomial, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    partials = []
     for r in net.reactions:
         kin = r.kinetics
         if not isinstance(kin, GeneralMonotone):
             raise NetworkError(f"reaction {r.label} does not have general monotone kinetics")
         if not kin.dependencies and not r.source.is_empty:
             raise NetworkError(f"reaction {r.label} has an empty dependency set")
-        changes = [(j, v) for j, v in enumerate(r.reaction_vector(n)) if v]
-        for i, sign in kin.partial_signs:
-            mono = ((kinetic_partial(r.label, i, names[i], sign), 1),)
-            for j, v in changes:
-                J[j][i][mono] = v
-    return _with_outflows(J, net, outflow)
+        partials.append([(i, 1, ((kinetic_partial(r.label, i, names[i], sign), 1),)) for i, sign in kin.partial_signs])
+    return _fill_jacobian(net, partials, outflow)
 
 
 def augmented_mass_action_jacobian(net: ReactionNetwork, outflow: str = UNIT_OUTFLOW) -> List[List[Polynomial]]:
@@ -109,48 +105,44 @@ def augmented_mass_action_jacobian(net: ReactionNetwork, outflow: str = UNIT_OUT
     vector v_r contributes v_rj * y_ri * k_r * c^(y_r - e_i), so no
     polynomial arithmetic runs.  Every term of an entry has its own rate
     constant, so no two of them merge.  Inflows are constants and never
-    reach the Jacobian; outflows subtract the diagonal (1 per species by
-    default, symbols with "symbolic").  ``symbolic_jacobian`` of
-    ``build_mass_action_rate`` remains the polynomial-arithmetic route to
-    the same matrix.
+    reach the Jacobian.  ``symbolic_jacobian`` of ``build_mass_action_rate``
+    remains the polynomial-arithmetic route to the same matrix.
     """
-    names = net.names
-    n = net.n
-    conc = [concentration(i, names[i]) for i in range(n)]
-    J: List[List[Dict[Monomial, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    conc = [concentration(i, name) for i, name in enumerate(net.names)]
+    partials = []
     for r in net.reactions:
         if not isinstance(r.kinetics, MassAction):
             raise NetworkError(f"reaction {r.label} does not have mass-action kinetics")
         k = ((rate_constant(r.label), 1),)
         source = r.source.coeffs
+        partials.append([(i, y, tuple((conc[s], e - (s == i)) for s, e in source if s != i or e > 1) + k) for i, y in source])
+    return _fill_jacobian(net, partials, outflow)
+
+
+def _fill_jacobian(net: ReactionNetwork, partials: List[List[Tuple[int, int, Monomial]]], outflow: str) -> List[List[Polynomial]]:
+    """The Jacobian in which partial (i, y, monomial) of ``partials[r]`` puts
+    v_rj * y * monomial into entry (j, i), less each species' outflow on the
+    diagonal: 1 (unit) or ``outflow_constant(X)`` (symbolic), subtracted in
+    the term map, so a reaction term with that monomial merges with it."""
+    if outflow not in (UNIT_OUTFLOW, SYMBOLIC_OUTFLOW):
+        raise ValueError(f"unknown outflow mode {outflow!r}")
+    n = net.n
+    J: List[List[Dict[Monomial, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for r, terms in zip(net.reactions, partials):
         changes = [(j, v) for j, v in enumerate(r.reaction_vector(n)) if v]
-        for i, y in source:
-            mono = tuple((conc[s], e - (s == i)) for s, e in source if s != i or e > 1) + k
+        for i, y, mono in terms:
             for j, v in changes:
                 J[j][i][mono] = v * y
-    return _with_outflows(J, net, outflow)
-
-
-def _with_outflows(J: List[List[Dict[Monomial, int]]], net: ReactionNetwork, outflow: str) -> List[List[Polynomial]]:
-    """The Jacobian of the entries' term maps, less the outflow diagonal."""
-    matrix = [[Polynomial(entry) for entry in row] for row in J]
-    _subtract_outflows(matrix, net, outflow)
-    return matrix
+    for j, name in enumerate(net.names):
+        entry = J[j][j]
+        factor = () if outflow == UNIT_OUTFLOW else ((outflow_constant(name), 1),)
+        entry[factor] = entry.get(factor, 0) - 1
+    return [[Polynomial(entry) for entry in row] for row in J]
 
 
 def outflow_constant(name: str) -> Indeterminate:
     """The symbol k[X->0] of species X's outflow constant."""
     return rate_constant(f"{name}->0")
-
-
-def _subtract_outflows(J: List[List[Polynomial]], net: ReactionNetwork, outflow: str) -> None:
-    """Subtract each species' outflow constant from the Jacobian diagonal:
-    1 with ``outflow="unit"``, ``outflow_constant(X)`` with ``outflow="symbolic"``."""
-    if outflow not in (UNIT_OUTFLOW, SYMBOLIC_OUTFLOW):
-        raise ValueError(f"unknown outflow mode {outflow!r}")
-    for j, name in enumerate(net.names):
-        factor = () if outflow == UNIT_OUTFLOW else ((outflow_constant(name), 1),)
-        J[j][j] = J[j][j] - Polynomial.term(1, factor)
 
 
 @dataclass(frozen=True)
@@ -192,14 +184,13 @@ def sign_census(det: Polynomial, n: int) -> SignSummary:
     The reference sign is (-1)^n, the degree of the pure-flow system;
     a term is anomalous when its definite pointwise sign is the opposite.
     Terms containing an unknown-sign partial are counted separately,
-    never silently resolved.  Each packed term is tested against the
-    unknown-sign and parity masks inline.
+    never silently resolved.  The sign rule is written here only: each
+    packed term is tested against the unknown-sign and parity masks.
     """
     reference = -1 if n % 2 else 1
     packed = det.packed
     coefficients = packed.coefficients
-    # The masks PackedTerms.sign and .concentration read, applied inline.
-    unknown_mask, parity, concentration_mask = packed._unknown, packed._parity, packed._concentration
+    unknown_mask, parity, concentration_mask = packed.unknown_mask, packed.parity_mask, packed.concentration_mask
     known = {m: c for m, c in coefficients.items() if not m & unknown_mask} if unknown_mask else coefficients
     # A term is anomalous when an odd number of c < 0, an odd parity
     # exponent sum and reference = -1 hold.
@@ -292,25 +283,25 @@ def dominance_conditions(det: Polynomial, census: SignSummary) -> List[Dominance
     anomalous term of the group gets its own condition, holding its own
     copies of the term lists.  Groups are disjoint by construction, so
     the primary inequalities together certify one-signedness of the
-    determinant.
+    determinant.  A group's partners are its known-sign terms that
+    ``census`` does not list as anomalous.
     """
     if not census.anomalous_terms:
         return []
-    reference = census.reference_sign
     packed = det.packed
-    keys = [packed.encode(t.concentration_part) for t in census.anomalous_terms]
+    unknown_mask, concentration_mask = packed.unknown_mask, packed.concentration_mask
+    codes = [packed.encode(t.monomial) for t in census.anomalous_terms]
+    keys = [code & concentration_mask for code in codes]
     anomalous_by_key: Dict[int, List[AnomalousTerm]] = {}
     for key, term in zip(keys, census.anomalous_terms):
         anomalous_by_key.setdefault(key, []).append(term)
-    # Only the partners in an anomalous term's group are decoded; the
-    # masks are those of sign_census.
+    # Only the partners in an anomalous term's group are decoded.
+    anomalous = set(codes)
     partners_by_key: Dict[int, List[Tuple[Monomial, int]]] = {key: [] for key in anomalous_by_key}
     group_of = partners_by_key.get
-    unknown_mask, parity, concentration_mask = packed._unknown, packed._parity, packed._concentration
-    flip = reference < 0
     for m, c in packed.coefficients.items():
         partners = group_of(m & concentration_mask)
-        if partners is not None and not m & unknown_mask and (c < 0) == flip ^ ((m & parity).bit_count() & 1):
+        if partners is not None and not m & unknown_mask and m not in anomalous:
             partners.append((packed.decode(m), c))
 
     conditions = []

@@ -79,15 +79,16 @@ class Complex:
 class MassAction:
     """Mass-action kinetics: rate = k * prod(c_i^y_i) over the source y.
 
-    ``value`` is the numeric rate constant, or None when the constant is
-    kept symbolic (the symbol is derived from the reaction label).
+    ``value`` is the numeric rate constant, finite and positive, or None
+    when the constant is kept symbolic (the symbol is derived from the
+    reaction label).
     """
 
     value: Optional[float] = None
 
     def __post_init__(self):
-        if self.value is not None and not self.value > 0:
-            raise NetworkError(f"mass-action rate constant must be > 0, got {self.value}")
+        if self.value is not None and not (math.isfinite(self.value) and self.value > 0):
+            raise NetworkError(f"mass-action rate constant must be finite and positive, got {self.value}")
 
 
 @dataclass(frozen=True)

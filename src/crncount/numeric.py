@@ -226,6 +226,8 @@ def numeric_system_from_network(
 # ---------------------------------------------------------------------------
 # Bounded domains
 
+CLOSURE_TOL = 1e-9  # relative slack of contains(c, closed=True), the homotopy's domain check
+
 
 class MassDomain:
     """Open bounded region {c > 0 : m . (outflow * c) < M}."""
@@ -242,11 +244,11 @@ class MassDomain:
     def n(self) -> int:
         return len(self.m)
 
-    def contains(self, c: np.ndarray, closed: bool = False, tol: float = 1e-12):
-        """Membership of each point of a (..., n) stack."""
+    def contains(self, c: np.ndarray, closed: bool = False):
+        """Membership of each point of a (..., n) stack; ``closed`` widens the closure by CLOSURE_TOL."""
         c = np.asarray(c)
-        slack = tol * (1.0 + self.bound)
         if closed:
+            slack = CLOSURE_TOL * (1.0 + self.bound)
             return np.all(c >= -slack, axis=-1) & (c @ self.weights <= self.bound + slack)
         return np.all(c > 0, axis=-1) & (c @ self.weights < self.bound)
 
@@ -286,11 +288,11 @@ class BoxDomain:
     def n(self) -> int:
         return len(self.lo)
 
-    def contains(self, c: np.ndarray, closed: bool = False, tol: float = 1e-12):
-        """Membership of each point of a (..., n) stack."""
+    def contains(self, c: np.ndarray, closed: bool = False):
+        """Membership of each point of a (..., n) stack; ``closed`` widens the closure by CLOSURE_TOL."""
         c = np.asarray(c)
-        slack = tol * (1.0 + np.max(np.abs(self.hi)))
         if closed:
+            slack = CLOSURE_TOL * (1.0 + np.max(np.abs(self.hi)))
             return np.all((c >= self.lo - slack) & (c <= self.hi + slack), axis=-1)
         return np.all((c > self.lo) & (c < self.hi), axis=-1)
 
@@ -733,7 +735,7 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
             pass
         ok, c_new, iters, at = _correct(sys, c_pred, target)
         if ok:
-            if not domain.contains(c_new, closed=True, tol=1e-9):
+            if not domain.contains(c_new, closed=True):
                 raise PathTrackingError("path left the domain closure", lam)
             c = c_new
             lam = target

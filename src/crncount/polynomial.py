@@ -138,27 +138,29 @@ class PackedTerms:
     Each monomial is one int with a bit field per indeterminate, laid out
     in canonical order and wide enough for its largest exponent, so a
     monomial product is one integer addition.  ``coefficients`` maps each
-    packed monomial to its nonzero coefficient.  A term's sign and
-    concentration part are integer masks; ``decode`` gives its canonical
-    tuple monomial, sharing one ``(x, e)`` pair per field and exponent
+    packed monomial to its nonzero coefficient.  For a packed term m,
+    ``m & unknown_mask`` is nonzero when m has an unknown-sign factor,
+    ``(m & parity_mask).bit_count()`` is odd when m is negative, and
+    ``m & concentration_mask`` is m's concentration part.  ``decode`` gives
+    its tuple monomial, sharing one ``(x, e)`` pair per field and exponent
     (a fresh pair per term would raise peak memory).
     """
 
-    __slots__ = ("coefficients", "_shifts", "_decode", "_unknown", "_parity", "_concentration")
+    __slots__ = ("coefficients", "_shifts", "_decode", "unknown_mask", "parity_mask", "concentration_mask")
 
     def __init__(self, fields: Sequence[Tuple[Indeterminate, int, int]]):
         """``fields`` lists (indeterminate, shift, field of ones) in canonical order."""
         self.coefficients: Dict[int, int] = {}
         self._shifts = {x: shift for x, shift, _ in fields}
         self._decode = [(x, shift, ones, {}) for x, shift, ones in fields]
-        self._unknown = self._parity = self._concentration = 0
+        self.unknown_mask = self.parity_mask = self.concentration_mask = 0
         for x, shift, ones in fields:
             if x.sign == SIGN_UNKNOWN:
-                self._unknown |= ones << shift
+                self.unknown_mask |= ones << shift
             elif x.sign < 0:
-                self._parity |= 1 << shift  # the exponent's low bit
+                self.parity_mask |= 1 << shift  # the exponent's low bit
             if x.kind == CONCENTRATION:
-                self._concentration |= ones << shift
+                self.concentration_mask |= ones << shift
 
     def encode(self, m: Monomial) -> int:
         shifts = self._shifts
@@ -171,16 +173,6 @@ class PackedTerms:
             if e:
                 mono.append(pairs.setdefault(e, (x, e)))
         return tuple(mono)
-
-    def sign(self, packed: int) -> int:
-        """Pointwise sign of the monomial on its declared domain, 0 if unknown."""
-        if packed & self._unknown:
-            return SIGN_UNKNOWN
-        return -1 if (packed & self._parity).bit_count() & 1 else 1
-
-    def concentration(self, packed: int) -> int:
-        """The packed monomial's concentration part."""
-        return packed & self._concentration
 
 
 class Polynomial:

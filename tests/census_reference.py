@@ -11,7 +11,9 @@ states of ``determinant_expand``'s subset DP from the nonzero pattern.
 ``reference_mass_action_jacobian`` differentiates the polynomial rate, and
 ``reference_general_jacobian`` sums one polynomial term at a time, as
 ``augmented_mass_action_jacobian`` and ``build_general_jacobian`` did before
-they filled each entry from its closed form.
+they filled each entry from its closed form; both then subtract the outflow
+diagonal by polynomial subtraction (``subtract_outflows``), where the
+builders subtract it inside their entries' term maps.
 """
 
 from fractions import Fraction
@@ -22,9 +24,11 @@ from crncount.jacobian import (
     AnomalousTerm,
     DominanceCondition,
     SignSummary,
+    SYMBOLIC_OUTFLOW,
+    UNIT_OUTFLOW,
     _quotient_inequality,
-    _subtract_outflows,
     build_mass_action_rate,
+    outflow_constant,
     symbolic_jacobian,
 )
 from crncount.network import GeneralMonotone, NetworkError
@@ -49,10 +53,20 @@ def ring(n: int):
     return parse_network("\n".join(lines))
 
 
+def subtract_outflows(J: List[List[Polynomial]], net, outflow: str) -> None:
+    """Subtract each species' outflow constant from the Jacobian diagonal:
+    1 with ``outflow="unit"``, ``outflow_constant(X)`` with ``outflow="symbolic"``."""
+    if outflow not in (UNIT_OUTFLOW, SYMBOLIC_OUTFLOW):
+        raise ValueError(f"unknown outflow mode {outflow!r}")
+    for j, name in enumerate(net.names):
+        factor = () if outflow == UNIT_OUTFLOW else ((outflow_constant(name), 1),)
+        J[j][j] = J[j][j] - Polynomial.term(1, factor)
+
+
 def reference_mass_action_jacobian(net, outflow: str):
     """The augmented mass-action Jacobian by differentiating the polynomial rate."""
     J = symbolic_jacobian(build_mass_action_rate(net))
-    _subtract_outflows(J, net, outflow)
+    subtract_outflows(J, net, outflow)
     return J
 
 
@@ -73,7 +87,7 @@ def reference_general_jacobian(net, outflow: str):
             for j, coeff in enumerate(vec):
                 if coeff:
                     J[j][i] = J[j][i] + Polynomial.term(coeff, ((partial, 1),))
-    _subtract_outflows(J, net, outflow)
+    subtract_outflows(J, net, outflow)
     return J
 
 

@@ -315,6 +315,21 @@ def test_bad_mass_vector_exits_one_naming_option(capsys, option, vector):
     assert err == f"error: bad {option} value {vector!r}\n"
 
 
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        ("1e400,1e400,2e400,2e400,3e400", "--mass entry '1e400' is out of float range"),
+        ("1e-400,1e-400,2e-400,2e-400,3e-400", "--mass entry '1e-400' is out of float range"),
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_mass_vector_beyond_float_range_exits_one_naming_mass(capsys, vector, message):
+    # Both vectors are conserved: only their conversion to floats fails.
+    code, out, err = _run(capsys, *VECTOR_OPTIONS["--mass"], "--mass", vector)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_numeric_fixture_rejected_for_census(capsys):
     code, _, err = _run(capsys, "census", "--fixture", "mapk-thron")
     assert code == 1

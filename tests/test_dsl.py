@@ -83,6 +83,9 @@ def test_numeric_rate_constant_annotation():
     assert net.reactions[0].kinetics == MassAction(2.5)
     with pytest.raises(ParseError, match="positive"):
         parse_network("A -> B ; k=0\n")
+    for value in ("inf", "Infinity", "1e400", "nan"):
+        with pytest.raises(ParseError, match="^line 2: mass-action rate constant must be finite and positive, got "):
+            parse_network(f"A -> B\nB -> C ; k={value}\n")
     with pytest.raises(ParseError, match="reversible"):
         parse_network("A <-> B ; k=2\n")
 

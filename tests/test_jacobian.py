@@ -14,10 +14,19 @@ from crncount.jacobian import (
     build_mass_action_rate,
     census_report,
     dominance_conditions,
+    outflow_constant,
     sign_census,
     symbolic_jacobian,
 )
-from crncount.network import MassAction, NetworkError, with_general_kinetics
+from crncount.network import (
+    Complex,
+    MassAction,
+    NetworkError,
+    Reaction,
+    ReactionNetwork,
+    Species,
+    with_general_kinetics,
+)
 from crncount.polynomial import (
     Polynomial,
     concentration,
@@ -444,6 +453,22 @@ def test_closed_form_jacobians_match_the_polynomial_route():
     assert len(cases) >= 300 + len(NETWORK_FIXTURES) + 7
     assert mass_action >= 200 and len(cases) - mass_action >= 50
     assert min(catalysts, empty, coefficient_3) >= 50
+
+
+def test_closed_form_outflow_merges_with_a_colliding_reaction_label():
+    # A reaction labelled like A's outflow shares its symbol k[A->0], so the
+    # symbolic outflow merges with that reaction's diagonal term: the term
+    # of A -> 2A cancels it, the term of A -> B doubles it.
+    A, B, A2 = Complex.from_dict({0: 1}), Complex.from_dict({1: 1}), Complex.from_dict({0: 2})
+    species = (Species("A", 0), Species("B", 1))
+    cancel = ReactionNetwork(species[:1], (Reaction(A, A2, MassAction(), "A->0"),))
+    double = ReactionNetwork(species, (Reaction(A, B, MassAction(), "A->0"),))
+    k_out = PV(outflow_constant("A"))
+    for net, diagonal in ((cancel, Polynomial.zero()), (double, -2 * k_out)):
+        for outflow in ("unit", "symbolic"):
+            J = augmented_mass_action_jacobian(net, outflow)
+            _assert_same_matrix(J, reference_mass_action_jacobian(net, outflow))
+        assert J[0][0] == diagonal
 
 
 def _random_jacobians():

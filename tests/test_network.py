@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from crncount.dsl import parse_network
@@ -88,8 +90,9 @@ def test_complex_rejects_nonpositive_coefficients():
 
 
 def test_mass_action_value_validation():
-    with pytest.raises(NetworkError):
-        MassAction(0.0)
+    for value in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(NetworkError, match="must be finite and positive"):
+            MassAction(value)
     assert MassAction(2.5).value == 2.5
     assert MassAction().value is None
 
