@@ -14,6 +14,8 @@ from .jacobian import (
     augmented_mass_action_jacobian,
     build_general_jacobian,
     build_mass_action_rate,
+    census_of,
+    certify,
     dominance_conditions,
     sign_census,
     symbolic_jacobian,

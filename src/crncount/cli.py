@@ -18,17 +18,8 @@ from typing import List, Optional
 
 from . import fixtures
 from .conservation import check_mass_vector, conservation_report, conserved_mass_vector
-from .dsl import ParseError, parse_network
-from .jacobian import (
-    SYMBOLIC_OUTFLOW,
-    UNIT_OUTFLOW,
-    augmented_mass_action_jacobian,
-    build_general_jacobian,
-    census_report,
-    dominance_conditions,
-    outflow_constant,
-    sign_census,
-)
+from .dsl import parse_network
+from .jacobian import augmented_mass_action_jacobian, build_general_jacobian, census_of, certify
 from .network import FlowAugmentation, MassAction, NetworkError, with_general_kinetics
 from .numeric import (
     CORRECTOR_TOL,
@@ -42,7 +33,7 @@ from .numeric import (
     numeric_system_from_network,
     track_homotopy,
 )
-from .polynomial import DEFAULT_MAX_DETERMINANT_DIM, DeterminantSizeError, determinant_expand, rate_constant
+from .polynomial import DEFAULT_MAX_DETERMINANT_DIM
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -53,7 +44,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, code = args.handler(args)
-    except (ParseError, NetworkError, DeterminantSizeError, ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
         # str(KeyError) quotes its message; print the message as written.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
@@ -165,19 +156,10 @@ def _cmd_census(args):
     else:
         _require_mass_action(net, "census --kinetics mass-action")
         J = augmented_mass_action_jacobian(net, outflow=outflow_mode)
-    census, _, report = _census(net, J)
+    census, _, report = census_of(net, J, _max_dim())
     report["kinetics"] = args.kinetics
     report["outflow"] = outflow_mode
-    code = EXIT_OK if census.certified_one_signed else EXIT_UNCERTIFIED
-    return report, code
-
-
-def _census(net, J):
-    """Expand det J and census its signs: (census, dominance conditions, report)."""
-    det = determinant_expand(J, max_dim=_max_dim())
-    census = sign_census(det, net.n)
-    conditions = dominance_conditions(det, census)
-    return census, conditions, census_report(net, census, conditions)
+    return report, EXIT_OK if census.certified_one_signed else EXIT_UNCERTIFIED
 
 
 def _cmd_conserve(args):
@@ -267,7 +249,7 @@ def _cmd_count(args):
             if mv is None:
                 raise NetworkError("network is not conservative; supply a dissipating --mass vector")
             m_floats = list(mv.as_floats())
-        census_block, certified = _count_census(net, bindings, flows)
+        census_block, certified = certify(net, bindings, flows, _max_dim())
     domain = default_domain(m_floats, flows)
     counted = _count_along_path(sys_, domain) if certified else _count_by_multistart(sys_, domain, args)
     domain_block = {"m": m_floats, "M": domain.bound, "outflow": list(flows.outflow)}
@@ -326,30 +308,6 @@ def _require_mass_action(net, command):
     general = next((r.label for r in net.reactions if not isinstance(r.kinetics, MassAction)), None)
     if general:
         raise NetworkError(f"{command} needs mass-action kinetics; {general} is general (census-only: crn census --kinetics general)")
-
-
-def _count_census(net, bindings, flows):
-    """Census block and certification verdict of a network at bound parameters.
-
-    Outflows other than 1 need the symbolic-outflow census: the unit one
-    folds terms whose outflow monomials differ, so its dominance
-    conditions hold only for unit outflows.  Returns (None, False) when
-    the network is too large to census.
-    """
-    outflow = UNIT_OUTFLOW if all(lam == 1.0 for lam in flows.outflow) else SYMBOLIC_OUTFLOW
-    try:
-        census, conditions, census_block = _census(net, augmented_mass_action_jacobian(net, outflow=outflow))
-    except DeterminantSizeError:
-        return None, False
-    certified = census.certified_one_signed
-    if not certified and conditions and census.unknown_sign_terms == 0:
-        # A one-signed determinant also follows when every dominance
-        # condition holds at the bound parameter values.
-        values = {rate_constant(r.label): bindings.get(r.label, r.kinetics.value) for r in net.reactions}
-        values.update({outflow_constant(name): lam for name, lam in zip(net.names, flows.outflow)})
-        certified = all(c.holds_at(values) for c in conditions)
-        census_block["conditions_hold_at_parameters"] = certified
-    return census_block, certified
 
 
 def _cascade_system(args):

@@ -18,10 +18,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .network import GeneralMonotone, MassAction, NetworkError, ReactionNetwork
 from .polynomial import (
+    DEFAULT_MAX_DETERMINANT_DIM,
+    DeterminantSizeError,
     Indeterminate,
     Monomial,
     Polynomial,
     concentration,
+    determinant_expand,
     differentiate,
     kinetic_partial,
     mono_degree,
@@ -392,3 +395,43 @@ def census_report(net: ReactionNetwork, census: SignSummary, conditions: Sequenc
         ],
         "unknown_sign_terms": census.unknown_sign_terms,
     }
+
+
+def census_of(net: ReactionNetwork, J, max_dim: int = DEFAULT_MAX_DETERMINANT_DIM) -> Tuple[SignSummary, list, dict]:
+    """Expand det J and census its signs: (census, dominance conditions, JSON
+    report).  Raises ``DeterminantSizeError`` when J is larger than ``max_dim``."""
+    det = determinant_expand(J, max_dim=max_dim)
+    census = sign_census(det, net.n)
+    conditions = dominance_conditions(det, census)
+    return census, conditions, census_report(net, census, conditions)
+
+
+def certify(
+    net: ReactionNetwork, rates=None, flows=None, max_dim: int = DEFAULT_MAX_DETERMINANT_DIM
+) -> Tuple[Optional[dict], bool]:
+    """(census report, verdict): is det J of the mass-action network one-signed?
+
+    Without rates and flows: for every rate and outflow, by the symbolic-outflow
+    census.  With them (``rates`` binds the rate constants no ``k=`` fixes): at
+    those values, by the unit census when every outflow is 1 (it folds terms
+    whose outflow monomials differ), else the symbolic one; where no term has
+    unknown sign, dominance conditions that hold at the values also certify,
+    recorded as ``conditions_hold_at_parameters``.  (None, False) over ``max_dim``.
+    Known limit: ``crn count`` follows the rates lambda*k, 0 < lambda <= 1, but
+    the conditions are tested at k only; a group condition whose sides differ
+    in degree may fail on that path (a sharp ``k <= bound`` cannot).
+    """
+    if (rates is None) != (flows is None):
+        raise ValueError("certify takes rates and flows together")
+    outflow = UNIT_OUTFLOW if rates is not None and all(lam == 1.0 for lam in flows.outflow) else SYMBOLIC_OUTFLOW
+    try:
+        census, conditions, report = census_of(net, augmented_mass_action_jacobian(net, outflow=outflow), max_dim)
+    except DeterminantSizeError:
+        return None, False
+    certified = census.certified_one_signed
+    if rates is not None and not certified and conditions and census.unknown_sign_terms == 0:
+        values = {rate_constant(r.label): r.kinetics.value or rates.get(r.label) for r in net.reactions}
+        values.update({outflow_constant(name): lam for name, lam in zip(net.names, flows.outflow)})
+        certified = all(c.holds_at(values) for c in conditions)
+        report["conditions_hold_at_parameters"] = certified
+    return report, certified

@@ -166,12 +166,15 @@ class ReactionNetwork:
         missing = [names[i] for i in range(len(names)) if i not in covered]
         if missing:
             raise NetworkError(f"species appear in no complex: {', '.join(missing)}")
-        seen = set()
+        seen, labels = set(), set()
         for r in self.reactions:
             key = (r.source, r.target)
             if key in seen:
                 raise NetworkError(f"duplicate reaction {r.label}")
+            if r.label in labels:
+                raise NetworkError(f"duplicate reaction label {r.label!r}")
             seen.add(key)
+            labels.add(r.label)
 
     @property
     def n(self) -> int:

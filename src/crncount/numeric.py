@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .conservation import MassVector, conserved_mass_vector
+from .jacobian import certify
 from .network import FlowAugmentation, MassAction, NetworkError, ReactionNetwork
 
 
@@ -900,9 +901,9 @@ def search_multistationarity(
 ) -> Optional[MultistationarityWitness]:
     """Randomised search for parameters with two or more equilibria.
 
-    Skipped immediately (returns None) when the symbolic-outflow sign
-    census certifies a one-signed determinant, since multiple zeros are
-    then impossible for every rate and outflow the sampler may draw.
+    Skipped (returns None) when ``certify(net)`` finds det J one-signed for
+    every rate and outflow: multiple zeros are then impossible for every
+    draw of the sampler.  A network too large to census is searched.
     ``sampler`` maps an RNG to {"k": {label: value}, "inflow"?: vector,
     "outflow"?: vector}.  Each trial counts in ``default_domain(m, flows)``
     of the conserved mass vector m.  A candidate counts as a witness only
@@ -910,16 +911,8 @@ def search_multistationarity(
     found roots (a missed root) is retried at four times the start count
     and otherwise rejected.
     """
-    from .jacobian import augmented_mass_action_jacobian, sign_census
-    from .polynomial import determinant_expand, DeterminantSizeError
-
-    try:
-        det = determinant_expand(augmented_mass_action_jacobian(net, outflow="symbolic"))
-        census = sign_census(det, net.n)
-        if census.certified_one_signed:
-            return None
-    except DeterminantSizeError:
-        pass  # too large to census; search anyway
+    if certify(net)[1]:
+        return None
     m = conserved_mass_vector(net)
     if m is None:
         raise NetworkError("network is not conservative; supply a dissipating mass vector domain manually")

@@ -12,7 +12,7 @@ from crncount.cli import main
 from crncount.conservation import conserved_mass_vector
 from crncount.dsl import parse_network, serialize_network
 from crncount.fixtures import NETWORK_FIXTURES, fixture_names, fixture_network, mapk_cube, unit_cube
-from crncount.jacobian import augmented_mass_action_jacobian, build_general_jacobian, sign_census
+from crncount.jacobian import augmented_mass_action_jacobian, build_general_jacobian, certify, sign_census
 from crncount.network import FlowAugmentation
 from crncount.numeric import (
     Equilibrium,
@@ -169,6 +169,21 @@ def test_census_max_species_env_cap(tmp_path, capsys, monkeypatch):
             code, out, err = _run(capsys, *argv, "--fixture", "example-6.1")
             assert (code, out) == (1, ""), (value, argv[0])
             assert err == f"error: CRN_MAX_SPECIES must be an integer >= 1, got {value!r}\n"
+
+
+def test_count_over_the_cap_is_uncertified(capsys, monkeypatch):
+    # A network too large to census is counted as uncertified: multistart
+    # Newton, with the homotopy endpoint among the listed roots.
+    monkeypatch.setenv("CRN_MAX_SPECIES", "3")
+    rates = ["--k", "A+B->P=1", "--k", "B+C->Q=1", "--k", "C->2A=0.5"]
+    code, out, err = _run(capsys, "count", "--fixture", "example-6.1", *rates)
+    assert code == 2, err
+    report = json.loads(out)
+    assert report["census"] is None
+    matched = report["homotopy"]["matched_equilibrium"]
+    assert isinstance(matched, int)
+    c, endpoint = np.array(report["equilibria"][matched]["c"]), np.array(report["homotopy"]["endpoint"])
+    assert np.linalg.norm(c - endpoint) <= 1e-6 * (1 + np.linalg.norm(c))
 
 
 def test_conserve_fixture_and_candidate(capsys):
@@ -755,7 +770,7 @@ def test_uncertified_counts_list_a_root_wherever_the_path_ends(capsys):
         for draw in range(20):
             k = {r.label: float(10 ** rng.uniform(-2, 2)) for r in net.reactions}
             outflow = float(10 ** rng.uniform(-3, 1))
-            if cli._count_census(net, k, FlowAugmentation.uniform(net.n, outflow=outflow))[1]:
+            if certify(net, k, FlowAugmentation.uniform(net.n, outflow=outflow))[1]:
                 continue
             uncertified += 1
             code, out, err = _run(capsys, "count", "--fixture", name, "--outflow", repr(outflow), *_k_args(k))

@@ -13,6 +13,7 @@ from crncount.jacobian import (
     build_general_jacobian,
     build_mass_action_rate,
     census_report,
+    certify,
     dominance_conditions,
     outflow_constant,
     sign_census,
@@ -20,6 +21,7 @@ from crncount.jacobian import (
 )
 from crncount.network import (
     Complex,
+    FlowAugmentation,
     MassAction,
     NetworkError,
     Reaction,
@@ -524,3 +526,31 @@ def test_dominance_conditions_of_a_one_signed_census_are_empty():
     census = sign_census(det, net.n)
     assert census.certified_one_signed
     assert dominance_conditions(det, census) == []
+
+
+@pytest.mark.parametrize("name", NETWORK_FIXTURES)
+def test_certify_without_rates_is_the_symbolic_outflow_census(name):
+    net = fixture_network(name)
+    census = sign_census(determinant_expand(augmented_mass_action_jacobian(net, outflow="symbolic")), net.n)
+    report, certified = certify(net)
+    assert certified == census.certified_one_signed == report["uniqueness_certified"]
+    assert "conditions_hold_at_parameters" not in report
+    rates = {r.label: 1.0 for r in net.reactions}
+    assert certify(net, rates, FlowAugmentation.uniform(net.n), max_dim=net.n - 1) == (None, False)
+
+
+def test_certify_takes_rates_and_flows_together():
+    net = parse_network(NET_61)
+    with pytest.raises(ValueError, match="together"):
+        certify(net, {r.label: 1.0 for r in net.reactions})
+    with pytest.raises(ValueError, match="together"):
+        certify(net, flows=FlowAugmentation.uniform(net.n))
+
+
+def test_certify_tests_conditions_at_a_rate_fixed_in_the_file():
+    # The count runs at the file's k=3, so k[C->2A] <= 1 fails whatever
+    # ``rates`` says for C->2A.
+    net = parse_network("A+B -> P\nB+C -> Q\nC -> 2A ; k=3\n")
+    rates = {"A+B->P": 1.0, "B+C->Q": 1.0, "C->2A": 0.5}
+    report, certified = certify(net, rates, FlowAugmentation.uniform(net.n))
+    assert (certified, report["conditions_hold_at_parameters"]) == (False, False)

@@ -75,6 +75,16 @@ def test_duplicate_reaction_rejected():
         ReactionNetwork(sp, (r, r))
 
 
+def test_duplicate_reaction_label_rejected():
+    # Two reactions under one label would share one rate constant k[r]
+    # in the census and one binding in the numeric system.
+    sp = (Species("A", 0), Species("B", 1), Species("C", 2))
+    a, b, c = (Complex.from_dict({i: 1}) for i in range(3))
+    reactions = (Reaction(a, b, MassAction(), "r"), Reaction(a, c, MassAction(), "r"))
+    with pytest.raises(NetworkError, match="duplicate reaction label 'r'"):
+        ReactionNetwork(sp, reactions)
+
+
 def test_species_missing_from_all_complexes_rejected():
     sp = (Species("A", 0), Species("B", 1), Species("Z", 2))
     r = make_reaction(Complex.from_dict({0: 1}), Complex.from_dict({1: 1}), MassAction(), ("A", "B", "Z"))
