@@ -412,17 +412,20 @@ def certify(
     """(census report, verdict): is det J of the mass-action network one-signed?
 
     Without rates and flows: for every rate and outflow, by the symbolic-outflow
-    census.  With them (``rates`` binds the rate constants no ``k=`` fixes): at
-    those values, by the unit census when every outflow is 1 (it folds terms
-    whose outflow monomials differ), else the symbolic one; where no term has
-    unknown sign, dominance conditions that hold at the values also certify,
-    recorded as ``conditions_hold_at_parameters``.  (None, False) over ``max_dim``.
+    census.  With them (``rates`` binds the rate constants no ``k=`` fixes, as
+    ``ReactionNetwork.rate_constants`` resolves them, raising its NetworkError
+    on a missing or invalid one): at those values, by the unit census when
+    every outflow is 1 (it folds terms whose outflow monomials differ), else
+    the symbolic one; where no term has unknown sign, dominance conditions
+    that hold at the values also certify, recorded as
+    ``conditions_hold_at_parameters``.  (None, False) over ``max_dim``.
     Known limit: ``crn count`` follows the rates lambda*k, 0 < lambda <= 1, but
     the conditions are tested at k only; a group condition whose sides differ
     in degree may fail on that path (a sharp ``k <= bound`` cannot).
     """
     if (rates is None) != (flows is None):
         raise ValueError("certify takes rates and flows together")
+    ks = None if rates is None else net.rate_constants(rates)
     outflow = UNIT_OUTFLOW if rates is not None and all(lam == 1.0 for lam in flows.outflow) else SYMBOLIC_OUTFLOW
     try:
         census, conditions, report = census_of(net, augmented_mass_action_jacobian(net, outflow=outflow), max_dim)
@@ -430,7 +433,7 @@ def certify(
         return None, False
     certified = census.certified_one_signed
     if rates is not None and not certified and conditions and census.unknown_sign_terms == 0:
-        values = {rate_constant(r.label): r.kinetics.value or rates.get(r.label) for r in net.reactions}
+        values = {rate_constant(r.label): k for r, k in zip(net.reactions, ks)}
         values.update({outflow_constant(name): lam for name, lam in zip(net.names, flows.outflow)})
         certified = all(c.holds_at(values) for c in conditions)
         report["conditions_hold_at_parameters"] = certified

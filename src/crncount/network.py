@@ -184,6 +184,27 @@ class ReactionNetwork:
     def names(self) -> Tuple[str, ...]:
         return tuple(s.name for s in self.species)
 
+    def rate_constants(self, bindings: Optional[Dict[str, float]] = None) -> Tuple[float, ...]:
+        """The numeric rate constant of each reaction, in order: its ``k=``
+        value, else ``bindings[label]``.
+
+        Raises:
+            NetworkError: on a reaction without mass-action kinetics, or a
+                missing rate constant or one that is not finite and > 0.
+        """
+        bindings = bindings or {}
+        ks = []
+        for r in self.reactions:
+            if not isinstance(r.kinetics, MassAction):
+                raise NetworkError(f"reaction {r.label} does not have mass-action kinetics")
+            k = r.kinetics.value if r.kinetics.value is not None else bindings.get(r.label)
+            if k is None:
+                raise NetworkError(f"missing parameter binding for rate constant of {r.label}")
+            if not (math.isfinite(k) and k > 0):
+                raise NetworkError(f"rate constant of {r.label} must be finite and > 0, got {k}")
+            ks.append(float(k))
+        return tuple(ks)
+
     def species_index(self, name: str) -> int:
         for s in self.species:
             if s.name == name:

@@ -24,6 +24,7 @@ report.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ import numpy as np
 
 from .conservation import MassVector, conserved_mass_vector
 from .jacobian import certify
-from .network import FlowAugmentation, MassAction, NetworkError, ReactionNetwork
+from .network import FlowAugmentation, NetworkError, ReactionNetwork
 
 
 class PathTrackingError(RuntimeError):
@@ -205,20 +206,10 @@ def numeric_system_from_network(
         NetworkError: on a reaction without mass-action kinetics, or a
             missing rate constant or one that is not finite and > 0.
     """
-    rate_constants = rate_constants or {}
     n = net.n
-    ks, sources, vectors = [], [], []
-    for r in net.reactions:
-        if not isinstance(r.kinetics, MassAction):
-            raise NetworkError(f"reaction {r.label} does not have mass-action kinetics")
-        k = r.kinetics.value if r.kinetics.value is not None else rate_constants.get(r.label)
-        if k is None:
-            raise NetworkError(f"missing parameter binding for rate constant of {r.label}")
-        if not (math.isfinite(k) and k > 0):
-            raise NetworkError(f"rate constant of {r.label} must be finite and > 0, got {k}")
-        ks.append(float(k))
-        sources.append(r.source.as_vector(n))
-        vectors.append(r.reaction_vector(n))
+    ks = net.rate_constants(rate_constants)
+    sources = [r.source.as_vector(n) for r in net.reactions]
+    vectors = [r.reaction_vector(n) for r in net.reactions]
     if len(flows.inflow) != n:
         raise NetworkError(f"flow vectors have length {len(flows.inflow)}, expected {n}")
     return MassActionField(ks, sources, vectors, flows)
@@ -336,23 +327,32 @@ def _halton(d: int, count: int, seed: int) -> np.ndarray:
     this returns bit for bit.
     """
     rng = np.random.default_rng(seed)
-    points = np.zeros((d, count))
+    points = np.empty((d, count))
+    index = np.arange(count)
     for row, base in zip(points, _primes(d)):
-        digits = math.ceil(54 / math.log2(base)) - 1
+        digits, scales, powers = _digit_tables(base)
         perms = rng.permuted(np.tile(np.arange(base), (digits, 1)), axis=1)
-        scales = np.divide.accumulate(np.r_[1.0, np.full(digits, float(base))])[1:]
         terms = perms * scales[:, None]
-        index = np.arange(count)
-        j = 0
-        while index.any():
-            index, digit = np.divmod(index, base)
-            row += terms[j, digit]
-            j += 1
-        # Every higher digit is 0: add its terms in digit order, each point
-        # on its own, as one sequential accumulate down the stacked terms.
-        tail = np.broadcast_to(terms[j:, :1], (digits - j, count))
-        row[:] = np.add.accumulate(np.vstack([row, tail]), axis=0)[-1]
+        # Digits past the highest nonzero digit of count - 1 are 0 for every
+        # point; all terms are added in digit order, each point on its own,
+        # as one sequential accumulate down the stacked terms.
+        used = int(np.count_nonzero(powers <= count - 1))
+        head = np.take_along_axis(terms[:used], index // powers[:used, None] % base, axis=1)
+        tail = np.broadcast_to(terms[used:, :1], (digits - used, count))
+        row[:] = np.add.accumulate(np.vstack([head, tail]), axis=0)[-1]
     return points.T
+
+
+@functools.cache
+def _digit_tables(base: int) -> Tuple[int, np.ndarray, np.ndarray]:
+    """(digits, scales, powers) of the radical inverse in ``base``: scipy's
+    digit count ceil(54/log2 b) - 1, the digit scales b^-(j+1) taken by
+    repeated division, and the place values b^j, both read-only."""
+    digits = math.ceil(54 / math.log2(base)) - 1
+    scales = np.divide.accumulate(np.r_[1.0, np.full(digits, float(base))])[1:]
+    powers = np.array([base**j for j in range(digits)], dtype=np.int64)
+    scales.flags.writeable = powers.flags.writeable = False
+    return digits, scales, powers
 
 
 def _primes(count: int) -> List[int]:
@@ -649,18 +649,20 @@ def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int) -> Equi
     converged = statuses == "converged"
     points, residuals = points[converged], residuals[converged]
     inside = domain.contains(points)
-    roots = sorted(zip(map(tuple, points[inside].tolist()), residuals[inside].tolist()))
-    reps: List[Tuple[np.ndarray, float]] = []
-    for point, residual in roots:
-        p = np.array(point)
-        for i, (q, r_old) in enumerate(reps):
-            if np.linalg.norm(p - q) <= DEDUP_RADIUS * (1.0 + np.linalg.norm(q)):
-                if residual < r_old:
-                    reps[i] = (p, residual)
+    points, residuals = points[inside], residuals[inside]
+    # Rows in lexicographic (point, residual) order; each representative
+    # keeps its merge radius DEDUP_RADIUS * (1 + ||q||) beside it.
+    order = np.lexsort((residuals, *points.T[::-1]))
+    reps: List[list] = []  # [point, residual, radius]
+    for p, residual in zip(points[order], residuals[order].tolist()):
+        for rep in reps:
+            if np.linalg.norm(p - rep[0]) <= rep[2]:
+                if residual < rep[1]:
+                    rep[:] = p, residual, DEDUP_RADIUS * (1.0 + np.linalg.norm(p))
                 break
         else:
-            reps.append((p, residual))
-    equilibria = [Equilibrium.at(sys, p, residual) for p, residual in reps]
+            reps.append([p, residual, DEDUP_RADIUS * (1.0 + np.linalg.norm(p))])
+    equilibria = [Equilibrium.at(sys, p, residual) for p, residual, _ in reps]
     return EquilibriumReport(equilibria, starts, seed, dict(sorted(Counter(statuses.tolist()).items())))
 
 
@@ -686,7 +688,7 @@ class HomotopyPath:
         }
 
 
-HOMOTOPY_INITIAL_STEP = 0.1
+HOMOTOPY_INITIAL_STEP = 1.0
 HOMOTOPY_MIN_STEP = 1e-10
 HOMOTOPY_MAX_STEPS = 10000
 CORRECTOR_TOL = 1e-10
@@ -701,12 +703,18 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
 
     Euler predictor along dc/dlambda, Newton corrector at fixed lambda
     to the scale-aware residual max(CORRECTOR_TOL, CORRECTOR_REL_TOL * s)
-    of ``_correct``; the step grows 1.5x after two easy corrections and
-    halves on failure.  The system is evaluated (``evaluate_lambda``) once
-    at lambda=0 and once per corrector iterate: the predictor's J_lambda
-    and g, and the endpoint residual, come from the corrector's evaluation
-    at the point it accepted.  An overflow prints no warning
-    (``np.errstate``).
+    of ``_correct``.  The first step tries the whole path
+    (HOMOTOPY_INITIAL_STEP = 1); the step doubles after every correction of
+    at most three Newton steps and halves after a failed one, down to
+    HOMOTOPY_MIN_STEP.  A long step cannot land on a wrong root: the
+    corrector keeps its iterates positive, every positive zero of f_lambda
+    has m.(outflow*c) <= m.c_in < M for a conserved or dissipating m, so it
+    lies in the counting domain, and where det J is one-signed at lambda=1
+    that domain holds one equilibrium.  The system is evaluated
+    (``evaluate_lambda``) once at lambda=0 and once per corrector iterate:
+    the predictor's J_lambda and g, and the endpoint residual, come from the
+    corrector's evaluation at the point it accepted.  An overflow prints no
+    warning (``np.errstate``).
 
     Raises:
         PathTrackingError: when f_lambda or J_lambda is not finite at an
@@ -720,7 +728,6 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
     fx, jac, g, _ = sys.evaluate_lambda(c, lam)
     h = HOMOTOPY_INITIAL_STEP
     samples = [(0.0, tuple(c), 0.0)]
-    easy = 0
     for _ in range(HOMOTOPY_MAX_STEPS):
         if lam >= 1.0:
             break
@@ -742,12 +749,9 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
             lam = target
             fx, jac, g = at
             samples.append((lam, tuple(c), h))
-            easy = easy + 1 if iters <= 3 else 0
-            if easy >= 2:
-                h *= 1.5
-                easy = 0
+            if iters <= 3:
+                h *= 2.0
         else:
-            easy = 0
             h *= 0.5
             if h < HOMOTOPY_MIN_STEP:
                 raise PathTrackingError("path tracking stalled", lam)
@@ -765,13 +769,17 @@ def _correct(sys: NumericSystem, x0: np.ndarray, lam: float):
     Accepts at ||f_lambda|| <= max(CORRECTOR_TOL, CORRECTOR_REL_TOL * s),
     a backward error against the term-wise magnitudes s of f_lambda, taken
     once, from the evaluation at the predicted point x0.  A system whose
-    ``evaluate`` gives no magnitudes has the absolute test alone.  Each
+    ``evaluate`` gives no magnitudes has the absolute test alone.  Gives up
+    as soon as a Newton step is not shorter than the one before it: a
+    correction that no longer contracts is abandoned (a contraction test
+    after Deuflhard), so such a try costs two or three evaluations.  Each
     iterate is evaluated once.
     """
     x = np.array(x0)
     if np.any(x <= 0):
         return False, x, 0, None
     tol = None
+    last = math.inf  # length of the previous Newton step
     for it in range(1, CORRECTOR_MAX_ITER + 2):
         fx, jx, gx, magnitudes = sys.evaluate_lambda(x, lam)
         if tol is None:
@@ -787,6 +795,10 @@ def _correct(sys: NumericSystem, x0: np.ndarray, lam: float):
             step = np.linalg.solve(jx, -fx)
         except np.linalg.LinAlgError:
             return False, x, it, None
+        length = float(np.linalg.norm(step))
+        if not length < last:
+            return False, x, it, None
+        last = length
         x = x + _orthant_step(x, step) * step
         if not np.all(np.isfinite(x)):
             return False, x, it, None

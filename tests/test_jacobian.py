@@ -547,6 +547,12 @@ def test_certify_takes_rates_and_flows_together():
         certify(net, flows=FlowAugmentation.uniform(net.n))
 
 
+def test_certify_rejects_a_missing_rate_as_the_numeric_system_does():
+    net = fixture_network("example-6.1")
+    with pytest.raises(NetworkError, match=r"missing parameter binding for rate constant of A\+B->P"):
+        certify(net, {}, FlowAugmentation.uniform(net.n))
+
+
 def test_certify_tests_conditions_at_a_rate_fixed_in_the_file():
     # The count runs at the file's k=3, so k[C->2A] <= 1 fails whatever
     # ``rates`` says for C->2A.

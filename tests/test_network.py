@@ -107,6 +107,19 @@ def test_mass_action_value_validation():
     assert MassAction().value is None
 
 
+def test_rate_constants_take_the_file_value_else_the_binding():
+    net = parse_network("A+B -> P\nB+C -> Q ; k=3\nC -> 2A\n")
+    bindings = {"A+B->P": 1.5, "B+C->Q": 7.0, "C->2A": 0.5}
+    assert net.rate_constants(bindings) == (1.5, 3.0, 0.5)
+    with pytest.raises(NetworkError, match=r"missing parameter binding for rate constant of C->2A"):
+        net.rate_constants({"A+B->P": 1.5})
+    for value in (0.0, math.nan, math.inf):
+        with pytest.raises(NetworkError, match=r"rate constant of A\+B->P must be finite and > 0"):
+            net.rate_constants({**bindings, "A+B->P": value})
+    with pytest.raises(NetworkError, match="does not have mass-action kinetics"):
+        with_general_kinetics(net).rate_constants(bindings)
+
+
 def test_with_general_kinetics_defaults_to_consumptively_increasing():
     net = with_general_kinetics(parse_network(NET_61))
     r = net.reactions[0]  # A+B -> P

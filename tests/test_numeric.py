@@ -35,6 +35,8 @@ from crncount.numeric import (
 from crncount.numeric import _newton, _orthant_step
 from crncount.polynomial import concentration, rate_constant
 
+from numeric_reference import reference_correct, reference_merge_roots, reference_track_homotopy
+
 NET_61 = "A+B -> P\nB+C -> Q\nC -> 2A\n"
 
 
@@ -526,6 +528,25 @@ def test_count_reports_both_roots_of_a_two_root_system():
     assert rep.newton_statuses == {"converged": 30}
 
 
+@pytest.mark.parametrize("name", ["planted-6.1", "mapk-thron"])
+def test_count_merges_roots_as_the_reference_loop(name):
+    # The row walk with cached radii keeps the representatives, points and
+    # residuals of the per-root loop, on the planted three-root witness and
+    # on a cascade where nearly every start converges.
+    if name == "mapk-thron":
+        sys, domain = thron_cascade([1.0] * 6, 1.0), thron_box()
+    else:
+        sys, domain = _batch_case(name)
+    rep = count_equilibria(sys, domain, starts=240, seed=17)
+    points, residuals, statuses, _ = _newton(sys, domain.sample_interior(240, seed=17), COUNT_TOL, domain)
+    converged = statuses == "converged"
+    inside = domain.contains(points[converged])
+    roots = points[converged][inside], residuals[converged][inside]
+    reference = reference_merge_roots(*roots)
+    assert len(reference) == (3 if name == "planted-6.1" else 1) < len(roots[0])
+    assert [(e.point, e.residual) for e in rep.equilibria] == [(tuple(p.tolist()), r) for p, r in reference]
+
+
 def test_count_requires_positive_starts():
     with pytest.raises(ValueError):
         count_equilibria(_flow_only(), MassDomain([1.0] * 3, [1.0] * 3, 50.0), starts=0, seed=0)
@@ -607,6 +628,7 @@ def test_homotopy_constant_path_for_zero_g():
         assert np.allclose(point, expected, atol=1e-8)
     lams = [s[0] for s in path.samples]
     assert lams == sorted(lams) and lams[0] == 0.0 and lams[-1] == pytest.approx(1.0)
+    assert path.steps == 1  # the whole path at once
 
 
 def test_homotopy_matches_multistart_on_example_61():
@@ -619,6 +641,52 @@ def test_homotopy_matches_multistart_on_example_61():
     # endpoint is an equilibrium of the full system and det has sign (-1)^5
     sign, _ = np.linalg.slogdet(sys.jac(np.array(path.endpoint)))
     assert sign == -1
+
+
+@pytest.mark.parametrize("draw", [0, 1])
+@pytest.mark.parametrize("name", NETWORK_FIXTURES)
+def test_adaptive_homotopy_matches_fixed_ramp_reference(name, draw):
+    # Both trackers reach lambda = 1 or both stall; reached endpoints agree
+    # to 1e-9 relative in every coordinate, and the adaptive rule takes no
+    # more steps than the fixed ramp.
+    net = fixture_network(name)
+    rng = np.random.default_rng(draw)
+    k = {r.label: 10 ** rng.uniform(-1, 1) for r in net.reactions}
+    flows = FlowAugmentation.uniform(net.n)
+    sys = numeric_system_from_network(net, k, flows)
+    dom = default_domain(conserved_mass_vector(net), flows)
+    paths = []
+    for tracker in (track_homotopy, reference_track_homotopy):
+        try:
+            paths.append(tracker(sys, dom))
+        except PathTrackingError:
+            paths.append(None)
+    path, reference = paths
+    assert (path is None) == (reference is None)
+    if path is not None:
+        np.testing.assert_allclose(path.endpoint, reference.endpoint, rtol=1e-9, atol=0)
+        assert path.steps <= reference.steps
+
+
+def test_corrector_gives_up_when_newton_steps_grow():
+    # f_lambda = 1 - c + lambda*g with f_1 = cbrt(c - 100): from c = 101 each
+    # Newton step on f_1 is -2 times the one before it.
+    sys = NumericSystem(
+        1,
+        f=lambda c: np.cbrt(c - 100.0),
+        jac=lambda c: _mat(c, [np.abs(c[..., 0] - 100.0) ** (-2.0 / 3.0) / 3.0]),
+        g=lambda c: np.cbrt(c - 100.0) - 1.0 + c,
+        c_in=np.array([1.0]),
+        outflow=np.array([1.0]),
+    )
+    calls = []
+    counted = copy.copy(sys)
+    counted.evaluate = lambda c, terms=False: calls.append(1) or sys.evaluate(c, terms)
+    ok, _, _, at = numeric._correct(counted, np.array([101.0]), 1.0)
+    assert not ok and at is None and 2 <= len(calls) <= 3
+    calls.clear()
+    assert not reference_correct(counted, np.array([101.0]), 1.0)[0]
+    assert len(calls) == numeric.CORRECTOR_MAX_ITER + 1  # the corrector without the test runs to its cap
 
 
 def test_homotopy_aborts_when_path_leaves_domain():
