@@ -29,7 +29,6 @@ from .polynomial import (
     kinetic_partial,
     mono_degree,
     mono_div,
-    mono_divides,
     mono_format,
     mono_gcd,
     mono_mul,
@@ -298,18 +297,20 @@ def dominance_conditions(det: Polynomial, census: SignSummary) -> List[Dominance
     anomalous_by_key: Dict[int, List[AnomalousTerm]] = {}
     for key, term in zip(keys, census.anomalous_terms):
         anomalous_by_key.setdefault(key, []).append(term)
-    # Only the partners in an anomalous term's group are decoded.
+    # Partners stay packed: the sharp form decodes only the quotients it
+    # reports, and the group form decodes its partners once.
     anomalous = set(codes)
-    partners_by_key: Dict[int, List[Tuple[Monomial, int]]] = {key: [] for key in anomalous_by_key}
+    partners_by_key: Dict[int, List[Tuple[int, int]]] = {key: [] for key in anomalous_by_key}
     group_of = partners_by_key.get
     for m, c in packed.coefficients.items():
         partners = group_of(m & concentration_mask)
         if partners is not None and not m & unknown_mask and m not in anomalous:
-            partners.append((packed.decode(m), c))
+            partners.append((m, c))
+    single_quotient, decode = packed.single_quotient, packed.decode
 
     conditions = []
     groups: Dict[int, tuple] = {}  # key -> _group_inequality of the group, derived once
-    for key, term in zip(keys, census.anomalous_terms):
+    for code, key, term in zip(codes, keys, census.anomalous_terms):
         partners = partners_by_key[key]
         if not partners:
             conditions.append(DominanceCondition(term, False))
@@ -317,25 +318,21 @@ def dominance_conditions(det: Polynomial, census: SignSummary) -> List[Dominance
         co_anomalous = anomalous_by_key[key]
         if len(co_anomalous) == 1:
             single = sorted(
-                (
-                    (mono_div(term.monomial, m), m, c)
-                    for m, c in partners
-                    if mono_divides(m, term.monomial) and len(mono_div(term.monomial, m)) == 1
-                ),
-                key=lambda qmc: (mono_degree(qmc[0]), qmc[0]),
+                ((decode(q), c) for p, c in partners if (q := single_quotient(code, p))),
+                key=lambda qc: (mono_degree(qc[0]), qc[0]),
             )
             if single:
-                quotient, _, c2 = single[0]
+                quotient, c2 = single[0]
                 bound = Fraction(abs(c2), abs(term.coefficient))
                 alternatives = [
-                    _quotient_inequality(q, Fraction(abs(c), abs(term.coefficient))) for q, _, c in single[1:]
+                    _quotient_inequality(q, Fraction(abs(c), abs(term.coefficient))) for q, c in single[1:]
                 ]
                 conditions.append(
                     DominanceCondition(term, True, _quotient_inequality(quotient, bound), quotient, bound, alternatives)
                 )
                 continue
         if key not in groups:
-            groups[key] = _group_inequality(co_anomalous, partners)
+            groups[key] = _group_inequality(co_anomalous, [(decode(m), c) for m, c in partners])
         inequality, lhs_terms, rhs_terms = groups[key]
         conditions.append(
             DominanceCondition(term, True, inequality, lhs_terms=list(lhs_terms), rhs_terms=list(rhs_terms))

@@ -158,10 +158,7 @@ class MassActionField(NumericSystem):
     def rates(self, c: np.ndarray) -> np.ndarray:
         """k * prod(c^Y) per reaction, shape (..., R)."""
         padded = np.concatenate([c, np.ones(np.shape(c)[:-1] + (1,))], axis=-1)
-        product = padded[..., self.factors[:, 0]]
-        for column in self.factors.T[1:]:
-            product = product * padded[..., column]
-        return self.k * product
+        return self.k * np.multiply.reduce(padded[..., self.factors], axis=-1)
 
     def evaluate(self, c: np.ndarray, terms: bool = False) -> tuple:
         rates = self.rates(c)
@@ -412,6 +409,12 @@ class NewtonResult:
 
 NEWTON_MAX_ITER = 100
 
+# The smallest step, as a fraction of the Newton step, that ``_newton``
+# tries: about sqrt(eps), the usual floor of damped Newton solvers.  A start
+# whose domain-limited step, or whose halved trial step, falls to it has no
+# descent left to find and ends ``no-descent``.
+NEWTON_MIN_STEP = float(np.finfo(float).eps) ** 0.5
+
 # The statuses of a Newton run, indexed by the integer codes ``_newton`` keeps.
 NEWTON_STATUSES = ("converged", "non-finite", "singular-jacobian", "no-descent", "diverged", "max-iterations")
 _CONVERGED, _NON_FINITE, _SINGULAR, _NO_DESCENT, _DIVERGED, _MAX_ITERATIONS = range(len(NEWTON_STATUSES))
@@ -436,7 +439,10 @@ def _newton(sys: NumericSystem, X, tol: float, domain=None) -> Tuple[np.ndarray,
     shortened to keep it strictly inside the domain, then halved until its
     residual norm decreases, in one halving loop shared by the rows still
     searching, so every iterate, whatever its final status, lies in the
-    open domain.
+    open domain.  A row stops searching once its step fraction, before a
+    trial or after a halving, is at or below ``NEWTON_MIN_STEP`` (about
+    1.5e-8, read at call time); a row that accepted no trial ends
+    ``no-descent``.
 
     ``sys.evaluate`` runs once on the starts and once on each halving
     loop's trial points; J is formed from a trial's evaluation for the
@@ -497,7 +503,7 @@ def _newton(sys: NumericSystem, X, tol: float, domain=None) -> Tuple[np.ndarray,
             accepted = np.zeros(len(x), dtype=bool)
             # The rows still searching, with their iterates, steps, step
             # fractions and residual norms gathered once per iteration.
-            searching = alpha > 1e-13
+            searching = alpha > NEWTON_MIN_STEP
             if np.count_nonzero(searching) == len(x):
                 pending, x_p, step_p, r_p = np.arange(len(x)), x, step, r
             else:
@@ -514,7 +520,7 @@ def _newton(sys: NumericSystem, X, tol: float, domain=None) -> Tuple[np.ndarray,
                     accepted[:] = True
                     break
                 alpha *= 0.5
-                keep = alpha > 1e-13
+                keep = alpha > NEWTON_MIN_STEP
                 if taken:
                     take = pending[better]
                     x[take], F[take], J[take], r[take] = x_try[better], f_try[better], jacobian(better), r_try[better]

@@ -143,16 +143,21 @@ class PackedTerms:
     ``(m & parity_mask).bit_count()`` is odd when m is negative, and
     ``m & concentration_mask`` is m's concentration part.  ``decode`` gives
     its tuple monomial, sharing one ``(x, e)`` pair per field and exponent
-    (a fresh pair per term would raise peak memory).
+    (a fresh pair per term would raise peak memory).  ``single_quotient``
+    divides packed terms without decoding them.
     """
 
-    __slots__ = ("coefficients", "_shifts", "_decode", "unknown_mask", "parity_mask", "concentration_mask")
+    __slots__ = ("coefficients", "_shifts", "_field_at", "_field_starts", "unknown_mask", "parity_mask",
+                 "concentration_mask")
 
     def __init__(self, fields: Sequence[Tuple[Indeterminate, int, int]]):
         """``fields`` lists (indeterminate, shift, field of ones) in canonical order."""
         self.coefficients: Dict[int, int] = {}
         self._shifts = {x: shift for x, shift, _ in fields}
-        self._decode = [(x, shift, ones, {}) for x, shift, ones in fields]
+        # The field of each bit: (indeterminate, shift, ones, shared pairs).
+        self._field_at = [field for x, shift, ones in fields for field in [(x, shift, ones, {})] * ones.bit_length()]
+        # The lowest bit of every field but the first.
+        self._field_starts = sum(1 << shift for _, shift, _ in fields[1:])
         self.unknown_mask = self.parity_mask = self.concentration_mask = 0
         for x, shift, ones in fields:
             if x.sign == SIGN_UNKNOWN:
@@ -167,12 +172,29 @@ class PackedTerms:
         return sum(e << shifts[x] for x, e in m)
 
     def decode(self, packed: int) -> Monomial:
+        """The tuple monomial, from the set fields only, lowest first."""
         mono = []
-        for x, shift, ones, pairs in self._decode:
+        field_at = self._field_at
+        while packed:
+            x, shift, ones, pairs = field_at[(packed & -packed).bit_length() - 1]
             e = (packed >> shift) & ones
-            if e:
-                mono.append(pairs.setdefault(e, (x, e)))
+            mono.append(pairs.setdefault(e, (x, e)))
+            packed ^= e << shift
         return tuple(mono)
+
+    def single_quotient(self, a: int, p: int) -> int:
+        """a / p, packed, when p divides a and the quotient is a power of
+        one indeterminate; else 0.
+
+        p divides a when d = a - p >= 0 and no field of p exceeds a's, so
+        adding d back to p carries into no field's lowest bit: d ^ a ^ p,
+        the carries of p + d, misses every field start.
+        """
+        d = a - p
+        if d <= 0 or (d ^ a ^ p) & self._field_starts:
+            return 0
+        _, shift, ones, _ = self._field_at[(d & -d).bit_length() - 1]
+        return d if d >> shift <= ones else 0
 
 
 class Polynomial:

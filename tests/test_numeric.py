@@ -192,7 +192,7 @@ def _serial_newton(sys, x0, tol):
             return "singular-jacobian", it - 1, None
         negative = step < 0
         alpha = min(1.0, 0.95 * float(np.min(x[negative] / -step[negative]))) if np.any(negative) else 1.0
-        while alpha > 1e-13:
+        while alpha > numeric.NEWTON_MIN_STEP:
             f_new = sys.f(x + alpha * step)
             r_new = float(np.linalg.norm(f_new))
             if np.isfinite(r_new) and r_new < r:
@@ -243,6 +243,26 @@ def test_lockstep_newton_matches_one_start_runs(name):
             assert residuals[i] <= COUNT_TOL
             np.testing.assert_allclose(points[i], solo.point, rtol=1e-12, atol=0)
             np.testing.assert_allclose(points[i], point, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name, fewest_saved", [("planted-6.1", 0.25), ("cube-slow", 0.0), ("ctf06-4", 0.25)])
+def test_newton_step_floor_keeps_every_root(name, fewest_saved, monkeypatch):
+    # A start retired at the sqrt(eps) step floor is one that a 1e-13 floor
+    # would only have walked further onto a face: the same starts converge,
+    # to the same points, and the statuses tally alike, save that a
+    # max-iterations start may now end no-descent.  The floor saves at least
+    # a quarter of the iterations where most starts fail.
+    sys, domain = _batch_case(name)
+    X = domain.sample_interior(240, seed=17)
+    points, _, statuses, iterations = _newton(sys, X, COUNT_TOL, domain)
+    monkeypatch.setattr(numeric, "NEWTON_MIN_STEP", 1e-13)
+    old_points, _, old_statuses, old_iterations = _newton(sys, X, COUNT_TOL, domain)
+    converged = statuses == "converged"
+    assert np.array_equal(converged, old_statuses == "converged") and converged.any()
+    np.testing.assert_allclose(points[converged], old_points[converged], rtol=1e-12, atol=0)
+    moved = (old_statuses == "max-iterations") & (statuses == "no-descent")
+    assert np.array_equal(statuses[~moved], old_statuses[~moved])
+    assert iterations.sum() <= (1 - fewest_saved) * old_iterations.sum()
 
 
 def _never_called(*args):
@@ -320,6 +340,29 @@ def _exact(poly, values):
             term *= values[x] ** e
         total += term
     return total
+
+
+def _column_rates(sys, c):
+    """The rates as a product of one gathered factor column at a time."""
+    padded = np.concatenate([c, np.ones(np.shape(c)[:-1] + (1,))], axis=-1)
+    product = padded[..., sys.factors[:, 0]]
+    for column in sys.factors.T[1:]:
+        product = product * padded[..., column]
+    return sys.k * product
+
+
+@pytest.mark.parametrize("name", sorted(NETWORK_FIXTURES))
+def test_mass_action_rates_match_column_products_bit_for_bit(name):
+    # The one-gather product reduces each source's factors in the order of
+    # the column loop, so the rates are the same floats, on a stack and on
+    # one point.
+    net = fixture_network(name)
+    rng = np.random.default_rng(sorted(NETWORK_FIXTURES).index(name))
+    k = {r.label: 10 ** rng.uniform(-1, 1) for r in net.reactions}
+    sys = numeric_system_from_network(net, k, FlowAugmentation.uniform(net.n))
+    stack = 10 ** rng.uniform(-3, 3, size=(240, net.n))
+    for c in (stack, stack[0]):
+        assert np.array_equal(sys.rates(c), _column_rates(sys, c))
 
 
 @pytest.mark.parametrize("name", sorted(NETWORK_FIXTURES))

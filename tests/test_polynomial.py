@@ -1,6 +1,6 @@
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -35,6 +35,8 @@ from crncount.polynomial import (
     differentiate,
     evaluate,
     kinetic_partial,
+    mono_div,
+    mono_divides,
     mono_mul,
     rate_constant,
     substitute,
@@ -406,6 +408,22 @@ def test_exponent_fields_widen_for_huge_exponents():
     det = determinant_expand(M)
     assert det.terms == _reference_expand(M).terms
     assert det == _power(X, 2 * big) * PV(Y) - PV(Y) * PV(Y)
+
+
+def test_packed_decode_and_single_quotient_match_tuple_monomials():
+    # Every monomial under the fields of x^3 y^2 z (widths 2, 2 and 1 bits):
+    # decode inverts encode, and single_quotient agrees with the tuple
+    # divisibility test on every pair, including the field borrows of
+    # x^1 / x^2 and y^0 / y^1.
+    packed = (PV(X) ** 3 * PV(Y) ** 2 * PV(Z)).packed
+    monomials = [tuple((v, e) for v, e in zip((X, Y, Z), exps) if e)
+                 for exps in product(range(4), range(3), range(2))]
+    for a in monomials:
+        assert packed.decode(packed.encode(a)) == a
+        for p in monomials:
+            quotient = mono_div(a, p) if mono_divides(p, a) else ()
+            expected = packed.encode(quotient) if len(quotient) == 1 else 0
+            assert packed.single_quotient(packed.encode(a), packed.encode(p)) == expected, (a, p)
 
 
 def _int_det(rows):

@@ -12,8 +12,9 @@ result.  For every end-to-end metric of the CHANGE checkout's
 ``BENCHMARK.json`` it reports, per side, the median, the quartiles and their
 distance (IQR), and the number of pairs the side won by the metric's
 ``better`` direction (ties count for neither).  The figures and every run's
-raw values are written under the workload's key of the ``--out`` JSON file,
-which keeps the other workloads already in it; the file is rewritten after
+raw values are written under the key ``"<workload> seed <seed>"`` of the
+``--out`` JSON file, which keeps the other entries already in it, so runs of
+one workload at two seeds land side by side; the file is rewritten after
 each workload, so an interrupted run keeps the workloads it finished.  A run
 that exits non-zero stops the tool with exit code 1, naming the workload and
 side and printing the tail of that run's stderr.
@@ -100,7 +101,8 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         report = json.loads(args.out.read_text()) if args.out.exists() else {}
-        report[workload] = {
+        key = f"{workload} seed {args.seed}"
+        report[key] = {
             "seed": args.seed,
             "seconds": args.seconds,
             "pairs": args.pairs,
@@ -111,7 +113,7 @@ def main(argv=None) -> int:
             "runs": {side: [{k: v["value"] for k, v in run["metrics"].items()} for run in runs[side]] for side in SIDES},
         }
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        for name, row in report[workload]["metrics"].items():
+        for name, row in report[key]["metrics"].items():
             p, c = row["parent"], row["change"]
             print(
                 f"{workload} {name:12s} parent {p['median']:.4g} (IQR {p['iqr']:.3g}, wins {p['wins']})"
