@@ -129,10 +129,10 @@ class MassActionField(NumericSystem):
     ``abs_V`` = |V|, ``c_in`` and ``outflow``; n is the flows' length, and
     R may be 0 (the pure-flow system of ``flow_system``).  Row r of
     ``factors`` lists the species of reaction r's source, each as often as
-    its coefficient and in species order, padded with n, the index of a
-    constant 1; so a rate k_r * prod(c^Y_r) is k_r times a product of d
-    gathered factors (c_A*c_A for a source 2A), not a power of every
-    species.
+    its coefficient and in species order, padded to d slots that
+    ``real_factors`` masks out; so a rate k_r * prod(c^Y_r) is k_r times a
+    product of at most d gathered factors (c_A*c_A for a source 2A), not a
+    power of every species.
 
     ``evaluate`` computes the rates once and returns f, with g = rates @ V,
     and the Jacobian J = V^T (rate * Y / c) - diag(outflow) of any rows,
@@ -153,12 +153,12 @@ class MassActionField(NumericSystem):
         self.abs_V = np.abs(self.V)
         rows = [[j for j, e in enumerate(y) for _ in range(e)] for y in sources]
         order = max(1, max(map(len, rows), default=1))
-        self.factors = np.array([row + [n] * (order - len(row)) for row in rows], dtype=int).reshape(-1, order)
+        self.factors = np.array([row + [0] * (order - len(row)) for row in rows], dtype=int).reshape(-1, order)
+        self.real_factors = np.arange(order) < np.array(list(map(len, rows)), dtype=int).reshape(-1, 1)
 
     def rates(self, c: np.ndarray) -> np.ndarray:
         """k * prod(c^Y) per reaction, shape (..., R)."""
-        padded = np.concatenate([c, np.ones(np.shape(c)[:-1] + (1,))], axis=-1)
-        return self.k * np.multiply.reduce(padded[..., self.factors], axis=-1)
+        return self.k * np.multiply.reduce(c[..., self.factors], axis=-1, where=self.real_factors, initial=1.0)
 
     def evaluate(self, c: np.ndarray, terms: bool = False) -> tuple:
         rates = self.rates(c)
@@ -218,8 +218,42 @@ def numeric_system_from_network(
 CLOSURE_TOL = 1e-9  # relative slack of contains(c, closed=True), the homotopy's domain check
 
 
-class MassDomain:
-    """Open bounded region {c > 0 : m . (outflow * c) < M}."""
+class Faces:
+    """The open polyhedron {x : A x < b}: row j of ``A`` (F, n) is the
+    outward normal of face j and ``b[j]`` its offset.  The open positive
+    orthant is (-I, 0); the counting domains are such polyhedra, and their
+    Newton steps share one step rule, ``step_fraction``."""
+
+    def __init__(self, A: np.ndarray, b: np.ndarray):
+        self.A, self.b = A, b
+        A.flags.writeable = b.flags.writeable = False
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """A y: the components of a point or step y (n,), or of each row of
+        a (P, n) stack, along the outward normals, as (F,) or (F, P)."""
+        return self.A @ y.T
+
+    def step_fraction(self, x: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """Step fraction alpha <= 1, one per row of x, that keeps x + alpha*step
+        inside: 0.95 of the way to the nearest face the step would cross.
+        Face j lies at the step length gap/rate, with the gap b - A x and the
+        rate A step, when rate > 0; a step along it or away from it crosses
+        it nowhere and divides nothing."""
+        b = self.b if np.ndim(x) == 1 else self.b[:, None]
+        gap, rate = b - self.project(x), self.project(step)
+        crossing = np.divide(gap, rate, out=np.full(np.shape(gap), np.inf), where=rate > 0)
+        return np.minimum(1.0, 0.95 * crossing.min(axis=0))
+
+
+@functools.cache
+def _orthant(n: int) -> Faces:
+    """The open positive orthant of R^n as faces (-I, 0)."""
+    return Faces(-np.eye(n), np.zeros(n))
+
+
+class MassDomain(Faces):
+    """Open bounded region {c > 0 : m . (outflow * c) < M}: the faces of the
+    orthant and the outer plane, A = [-I; m*outflow] and b = [0, ..., 0, M]."""
 
     def __init__(self, m: Sequence[float], outflow: Sequence[float], bound: float):
         self.m = np.array([float(x) for x in m])
@@ -228,10 +262,19 @@ class MassDomain:
         if any(self.m <= 0) or any(self.outflow <= 0) or self.bound <= 0:
             raise ValueError("domain needs positive mass vector, outflows, and bound")
         self.weights = self.m * self.outflow
+        super().__init__(np.vstack([-np.eye(self.n), self.weights]), np.r_[np.zeros(self.n), self.bound])
 
     @property
     def n(self) -> int:
         return len(self.m)
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        # The outer plane's row is taken as y @ weights: BLAS need not round it
+        # alike inside the matrix product, and the plane's gap and rate keep
+        # the bits of that product.
+        out = self.A @ y.T
+        out[-1] = y @ self.weights
+        return out
 
     def contains(self, c: np.ndarray, closed: bool = False):
         """Membership of each point of a (..., n) stack; ``closed`` widens the closure by CLOSURE_TOL."""
@@ -240,13 +283,6 @@ class MassDomain:
             slack = CLOSURE_TOL * (1.0 + self.bound)
             return np.all(c >= -slack, axis=-1) & (c @ self.weights <= self.bound + slack)
         return np.all(c > 0, axis=-1) & (c @ self.weights < self.bound)
-
-    def step_fraction(self, x: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """Step fraction alpha <= 1, one per row of x, that keeps x + alpha*step
-        in the open domain: 0.95 of the way to the nearest coordinate plane
-        or outer plane m.(outflow*c) = M that the step would cross."""
-        outer = _crossing(self.bound - x @ self.weights, step @ self.weights)
-        return _fraction(np.minimum(_crossing(x, -step).min(axis=-1), outer))
 
     def sample_interior(self, count: int, seed: int) -> np.ndarray:
         X = _simplex_points(self.n, count, seed, on_face=False)
@@ -264,14 +300,17 @@ class MassDomain:
         return pts * scale[:, None]
 
 
-class BoxDomain:
-    """Open axis-aligned box, e.g. the unit cube of the cascade models."""
+class BoxDomain(Faces):
+    """Open axis-aligned box, e.g. the unit cube of the cascade models: the
+    faces A = [-I; I] and b = [-lo, hi]."""
 
     def __init__(self, lo: Sequence[float], hi: Sequence[float]):
         self.lo = np.array([float(x) for x in lo])
         self.hi = np.array([float(x) for x in hi])
         if any(self.lo >= self.hi):
             raise ValueError("box needs lo < hi in every coordinate")
+        eye = np.eye(self.n)
+        super().__init__(np.vstack([-eye, eye]), np.r_[-self.lo, self.hi])
 
     @property
     def n(self) -> int:
@@ -284,12 +323,6 @@ class BoxDomain:
             slack = CLOSURE_TOL * (1.0 + np.max(np.abs(self.hi)))
             return np.all((c >= self.lo - slack) & (c <= self.hi + slack), axis=-1)
         return np.all((c > self.lo) & (c < self.hi), axis=-1)
-
-    def step_fraction(self, x: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """Step fraction alpha <= 1, one per row of x, that keeps x + alpha*step
-        in the open box: 0.95 of the way to the nearest face the step would
-        cross."""
-        return _fraction(np.minimum(_crossing(x - self.lo, -step), _crossing(self.hi - x, step)).min(axis=-1))
 
     def sample_interior(self, count: int, seed: int) -> np.ndarray:
         u = _halton(self.n, count, seed)
@@ -321,35 +354,41 @@ def _halton(d: int, count: int, seed: int) -> np.ndarray:
     b^-(j+1) taken by repeated division, the digit-order summation and the
     column-major (count, d) result all follow scipy's
     ``qmc.Halton(d, scramble=True, seed=seed).random(count)``, whose points
-    this returns bit for bit.
+    this returns bit for bit.  Each base's tables come from
+    ``_digit_tables``; the terms of every point are summed in one buffer.
     """
     rng = np.random.default_rng(seed)
     points = np.empty((d, count))
     index = np.arange(count)
+    buffer = np.empty((_digit_tables(2)[0], count))  # base 2 has the most digits
     for row, base in zip(points, _primes(d)):
-        digits, scales, powers = _digit_tables(base)
-        perms = rng.permuted(np.tile(np.arange(base), (digits, 1)), axis=1)
-        terms = perms * scales[:, None]
+        digits, scales, powers, table = _digit_tables(base)
+        terms = rng.permuted(table, axis=1) * scales[:, None]
         # Digits past the highest nonzero digit of count - 1 are 0 for every
         # point; all terms are added in digit order, each point on its own,
         # as one sequential accumulate down the stacked terms.
-        used = int(np.count_nonzero(powers <= count - 1))
-        head = np.take_along_axis(terms[:used], index // powers[:used, None] % base, axis=1)
-        tail = np.broadcast_to(terms[used:, :1], (digits - used, count))
-        row[:] = np.add.accumulate(np.vstack([head, tail]), axis=0)[-1]
+        used = int(np.searchsorted(powers, count - 1, side="right"))
+        stacked = buffer[:digits]
+        digit = index // powers[:used, None] % base  # digit j of each point's index
+        np.take(terms, digit + base * np.arange(used)[:, None], out=stacked[:used])  # terms[j, digit]
+        stacked[used:] = terms[used:, :1]
+        row[:] = np.add.accumulate(stacked, axis=0, out=stacked)[-1]
     return points.T
 
 
 @functools.cache
-def _digit_tables(base: int) -> Tuple[int, np.ndarray, np.ndarray]:
-    """(digits, scales, powers) of the radical inverse in ``base``: scipy's
-    digit count ceil(54/log2 b) - 1, the digit scales b^-(j+1) taken by
-    repeated division, and the place values b^j, both read-only."""
+def _digit_tables(base: int) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, scales, powers, table) of the radical inverse in ``base``:
+    scipy's digit count ceil(54/log2 b) - 1, the digit scales b^-(j+1)
+    taken by repeated division, the place values b^j, and the (digits, b)
+    table of range(b) per digit that the permutations shuffle, all
+    read-only."""
     digits = math.ceil(54 / math.log2(base)) - 1
     scales = np.divide.accumulate(np.r_[1.0, np.full(digits, float(base))])[1:]
     powers = np.array([base**j for j in range(digits)], dtype=np.int64)
-    scales.flags.writeable = powers.flags.writeable = False
-    return digits, scales, powers
+    table = np.tile(np.arange(base), (digits, 1))
+    scales.flags.writeable = powers.flags.writeable = table.flags.writeable = False
+    return digits, scales, powers, table
 
 
 def _primes(count: int) -> List[int]:
@@ -435,14 +474,14 @@ def _newton(sys: NumericSystem, X, tol: float, domain=None) -> Tuple[np.ndarray,
 
     The domain is ``domain`` (a MassDomain or BoxDomain, whose
     ``step_fraction`` shortens each step), or the open positive orthant
-    when it is None.  Each row steps as it would alone: its step is
-    shortened to keep it strictly inside the domain, then halved until its
-    residual norm decreases, in one halving loop shared by the rows still
-    searching, so every iterate, whatever its final status, lies in the
-    open domain.  A row stops searching once its step fraction, before a
-    trial or after a halving, is at or below ``NEWTON_MIN_STEP`` (about
-    1.5e-8, read at call time); a row that accepted no trial ends
-    ``no-descent``.
+    when it is None.  Each row solves J s = F and steps along -s as it
+    would alone: its step is shortened to keep it strictly inside the
+    domain, then halved until its residual norm decreases, in one halving
+    loop shared by the rows still searching, so every iterate, whatever its
+    final status, lies in the open domain.  A row stops searching once its
+    step fraction, before a trial or after a halving, is at or below
+    ``NEWTON_MIN_STEP`` (about 1.5e-8, read at call time); a row that
+    accepted no trial ends ``no-descent``.
 
     ``sys.evaluate`` runs once on the starts and once on each halving
     loop's trial points; J is formed from a trial's evaluation for the
@@ -462,7 +501,7 @@ def _newton(sys: NumericSystem, X, tol: float, domain=None) -> Tuple[np.ndarray,
     X = np.array(X, dtype=float)
     if np.any(X <= 0):
         raise ValueError("start point must be strictly positive")
-    step_fraction = _orthant_step if domain is None else domain.step_fraction
+    faces = _orthant(X.shape[-1]) if domain is None else domain
     residuals = np.zeros(len(X))
     codes = np.zeros(len(X), dtype=int)
     iterations = np.zeros(len(X), dtype=int)
@@ -493,24 +532,25 @@ def _newton(sys: NumericSystem, X, tol: float, domain=None) -> Tuple[np.ndarray,
                 retire(done, _CONVERGED, it - 1)
             if not rows.size:
                 break
-            step = _solve_rows(J, -F)
-            finite = np.isfinite(step)
+            s = _solve_rows(J, F)
+            finite = np.isfinite(s)
             if np.count_nonzero(finite) < finite.size:
-                step = step[retire(~finite.all(axis=-1), _SINGULAR, it - 1)]
+                s = s[retire(~finite.all(axis=-1), _SINGULAR, it - 1)]
                 if not rows.size:
                     break
-            alpha = step_fraction(x, step)
+            alpha = faces.step_fraction(x, -s)
             accepted = np.zeros(len(x), dtype=bool)
             # The rows still searching, with their iterates, steps, step
-            # fractions and residual norms gathered once per iteration.
+            # fractions and residual norms gathered once per iteration;
+            # ``pending`` indexes them among the live rows, or is None
+            # while they are all of them.
+            pending, x_p, s_p, r_p = None, x, s, r
             searching = alpha > NEWTON_MIN_STEP
-            if np.count_nonzero(searching) == len(x):
-                pending, x_p, step_p, r_p = np.arange(len(x)), x, step, r
-            else:
+            if np.count_nonzero(searching) < len(x):
                 pending = np.flatnonzero(searching)
-                x_p, step_p, alpha, r_p = x[pending], step[pending], alpha[pending], r[pending]
-            while pending.size:
-                x_try = x_p + alpha[:, None] * step_p
+                x_p, s_p, alpha, r_p = x[pending], s[pending], alpha[pending], r[pending]
+            while len(x_p):
+                x_try = x_p - alpha[:, None] * s_p
                 f_try, jacobian = sys.evaluate(x_try)
                 r_try = _row_norms(f_try)
                 better = r_try < r_p  # r is finite, so a NaN or inf r_try fails
@@ -522,17 +562,17 @@ def _newton(sys: NumericSystem, X, tol: float, domain=None) -> Tuple[np.ndarray,
                 alpha *= 0.5
                 keep = alpha > NEWTON_MIN_STEP
                 if taken:
-                    take = pending[better]
+                    take = better if pending is None else pending[better]
                     x[take], F[take], J[take], r[take] = x_try[better], f_try[better], jacobian(better), r_try[better]
                     accepted[take] = True
                     keep &= ~better
                 if np.count_nonzero(keep) < keep.size:
-                    pending, x_p, step_p, alpha, r_p = pending[keep], x_p[keep], step_p[keep], alpha[keep], r_p[keep]
+                    pending = np.flatnonzero(keep) if pending is None else pending[keep]
+                    x_p, s_p, alpha, r_p = x_p[keep], s_p[keep], alpha[keep], r_p[keep]
             if np.count_nonzero(accepted) < len(x):
                 retire(~accepted, _NO_DESCENT, it)
-            far = np.abs(x) > 1e14
-            if np.count_nonzero(far):
-                retire(far.any(axis=-1), _DIVERGED, it)
+            if rows.size and x.max() > 1e14:  # iterates are positive
+                retire((x > 1e14).any(axis=-1), _DIVERGED, it)
         X[rows], residuals[rows], iterations[rows] = x, r, NEWTON_MAX_ITER
         codes[rows] = np.where(r <= tol, _CONVERGED, _MAX_ITERATIONS)
     return X, residuals, np.array(NEWTON_STATUSES, dtype=object)[codes], iterations
@@ -542,6 +582,12 @@ def _row_norms(F: np.ndarray) -> np.ndarray:
     """np.linalg.norm(F, axis=-1) of a real stack, the same sums without
     the argument handling: the line search takes one per trial."""
     return np.sqrt(np.add.reduce(F * F, axis=-1))
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a real vector, the same sqrt(v.dot(v)) without
+    the argument handling: the root merge takes one per comparison."""
+    return math.sqrt(v.dot(v))
 
 
 def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -564,20 +610,8 @@ def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _orthant_step(x: np.ndarray, step: np.ndarray) -> np.ndarray:
     """Step fraction alpha <= 1, one per row of x, that keeps x + alpha*step
-    strictly positive: 0.95 of the way to the nearest coordinate plane the
-    step would cross."""
-    return _fraction(_crossing(x, -step).min(axis=-1))
-
-
-def _crossing(gap: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """Step length gap/rate at which a face is reached, inf where the step
-    moves along it or away from it (rate <= 0), without dividing there."""
-    return np.divide(gap, rate, out=np.full(np.shape(gap), np.inf), where=rate > 0)
-
-
-def _fraction(distance: np.ndarray) -> np.ndarray:
-    """0.95 of the step length to the nearest face, capped at a full step."""
-    return np.minimum(1.0, 0.95 * distance)
+    strictly positive: the orthant's ``step_fraction``."""
+    return _orthant(np.shape(x)[-1]).step_fraction(x, step)
 
 
 @dataclass
@@ -662,13 +696,18 @@ def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int) -> Equi
     reps: List[list] = []  # [point, residual, radius]
     for p, residual in zip(points[order], residuals[order].tolist()):
         for rep in reps:
-            if np.linalg.norm(p - rep[0]) <= rep[2]:
+            if _norm(p - rep[0]) <= rep[2]:
                 if residual < rep[1]:
-                    rep[:] = p, residual, DEDUP_RADIUS * (1.0 + np.linalg.norm(p))
+                    rep[:] = p, residual, DEDUP_RADIUS * (1.0 + _norm(p))
                 break
         else:
-            reps.append([p, residual, DEDUP_RADIUS * (1.0 + np.linalg.norm(p))])
-    equilibria = [Equilibrium.at(sys, p, residual) for p, residual, _ in reps]
+            reps.append([p, residual, DEDUP_RADIUS * (1.0 + _norm(p))])
+    # One evaluation and one slogdet sign all representatives; ``evaluate``
+    # broadcasts a custom jac that returns one (n, n) matrix.
+    signs = []
+    if reps:
+        signs = np.linalg.slogdet(sys.evaluate(np.array([p for p, _, _ in reps]))[1]())[0].tolist()
+    equilibria = [Equilibrium(tuple(p.tolist()), residual, int(sign)) for (p, residual, _), sign in zip(reps, signs)]
     return EquilibriumReport(equilibria, starts, seed, dict(sorted(Counter(statuses.tolist()).items())))
 
 
@@ -711,8 +750,13 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
     to the scale-aware residual max(CORRECTOR_TOL, CORRECTOR_REL_TOL * s)
     of ``_correct``.  The first step tries the whole path
     (HOMOTOPY_INITIAL_STEP = 1); the step doubles after every correction of
-    at most three Newton steps and halves after a failed one, down to
-    HOMOTOPY_MIN_STEP.  A long step cannot land on a wrong root: the
+    at most three Newton steps and halves after a failed one, down to a
+    floor relative to the path's own scale:
+    HOMOTOPY_MIN_STEP * min(1, ||c_in|| / ||g(c_in/outflow)||), from the g of
+    the evaluation at lambda=0 (HOMOTOPY_MIN_STEP itself where g = 0).  A
+    strong system (large k*c_in/outflow^2, say) moves its zero over a lambda
+    of about that ratio, so an absolute floor would stall it at lambda=0.
+    A long step cannot land on a wrong root: the
     corrector keeps its iterates positive, every positive zero of f_lambda
     has m.(outflow*c) <= m.c_in < M for a conserved or dissipating m, so it
     lies in the counting domain, and where det J is one-signed at lambda=1
@@ -724,14 +768,19 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
 
     Raises:
         PathTrackingError: when f_lambda or J_lambda is not finite at an
-            accepted point ("non-finite"), the step underflows ("path
-            tracking stalled"), or an accepted iterate leaves the domain
-            closure.
+            accepted point ("non-finite"), the step falls below its floor
+            ("path tracking stalled"), or an accepted iterate leaves the
+            domain closure.
     """
     sys._require_flows()
     c = np.array(sys.c_in) / np.array(sys.outflow)
     lam = 0.0
     fx, jac, g, _ = sys.evaluate_lambda(c, lam)
+    # The path's own scale ||c_in|| / ||g||, from norms scaled by max|g|:
+    # ||g|| itself overflows once g passes 1e154.
+    top, floor = float(np.max(np.abs(g))), HOMOTOPY_MIN_STEP
+    if top > 0:
+        floor *= min(1.0, float(np.linalg.norm(sys.c_in / top) / np.linalg.norm(g / top)))
     h = HOMOTOPY_INITIAL_STEP
     samples = [(0.0, tuple(c), 0.0)]
     for _ in range(HOMOTOPY_MAX_STEPS):
@@ -759,7 +808,7 @@ def track_homotopy(sys: NumericSystem, domain) -> HomotopyPath:
                 h *= 2.0
         else:
             h *= 0.5
-            if h < HOMOTOPY_MIN_STEP:
+            if h < floor:
                 raise PathTrackingError("path tracking stalled", lam)
     else:
         raise PathTrackingError("step budget exhausted", lam)

@@ -12,6 +12,12 @@ stall, at endpoints that agree to a relative tolerance.
 before it walked the rows of the converged array: a fresh array per root
 and two norms against every representative.  Tests require equal points
 and residuals.
+
+``reference_step_fraction`` is the step rule of the positive orthant, a
+``MassDomain`` and a ``BoxDomain`` as each computed it before the domains
+shared one rule over their faces (A, b): the crossings of the coordinate
+planes and of the outer plane or the box's faces, each taken on its own.
+Tests require the same bits.
 """
 
 import math
@@ -27,6 +33,7 @@ from crncount.numeric import (
     HOMOTOPY_MAX_STEPS,
     HOMOTOPY_MIN_STEP,
     HomotopyPath,
+    MassDomain,
     NumericSystem,
     PathTrackingError,
     _orthant_step,
@@ -123,3 +130,25 @@ def reference_merge_roots(points: np.ndarray, residuals: np.ndarray) -> List[Tup
         else:
             reps.append((p, residual))
     return reps
+
+
+def _crossing(gap: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Step length gap/rate at which a face is reached, inf where the step
+    moves along it or away from it (rate <= 0), without dividing there."""
+    return np.divide(gap, rate, out=np.full(np.shape(gap), np.inf), where=rate > 0)
+
+
+def _fraction(distance: np.ndarray) -> np.ndarray:
+    """0.95 of the step length to the nearest face, capped at a full step."""
+    return np.minimum(1.0, 0.95 * distance)
+
+
+def reference_step_fraction(domain, x: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Step fraction alpha <= 1, one per row of x, that keeps x + alpha*step in
+    the open positive orthant (``domain`` None), a MassDomain or a BoxDomain."""
+    if domain is None:
+        return _fraction(_crossing(x, -step).min(axis=-1))
+    if isinstance(domain, MassDomain):
+        outer = _crossing(domain.bound - x @ domain.weights, step @ domain.weights)
+        return _fraction(np.minimum(_crossing(x, -step).min(axis=-1), outer))
+    return _fraction(np.minimum(_crossing(x - domain.lo, -step), _crossing(domain.hi - x, step)).min(axis=-1))

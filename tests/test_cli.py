@@ -728,6 +728,46 @@ def test_count_overflowing_path_fails_in_one_line(capsys, outflow):
         assert err == "error: non-finite f_lambda or J_lambda (last good lambda = 0)\n"
 
 
+def _relative_residual(rates, flows, c):
+    """||f(c)|| over the norm of f's term-wise magnitudes at c."""
+    net = fixture_network("example-6.1")
+    system = numeric_system_from_network(net, rates, flows)
+    _, _, _, magnitudes = system.evaluate(c, terms=True)
+    return np.linalg.norm(system.f(c)) / np.linalg.norm(system.c_in + system.outflow * c + magnitudes)
+
+
+@pytest.mark.parametrize("inflow, steps", [("1e17", 35), ("1e50", 145)])
+def test_count_strong_inflow_path_reaches_its_root(capsys, inflow, steps):
+    # At a large inflow the zero moves over a lambda of about
+    # ||c_in|| / ||g(c_in/outflow)||, far below 1e-10; the step floor scales
+    # with that ratio, so the certified path reaches its root instead of
+    # stalling at lambda = 0.
+    code, out, err = _run(capsys, "count", "--fixture", "example-6.1", *_K_61, "--inflow", inflow)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["homotopy"]["steps"] == steps
+    (equilibrium,) = report["equilibria"]
+    assert equilibrium["det_sign"] == -1
+    flows = FlowAugmentation.uniform(5, inflow=float(inflow))
+    assert _relative_residual({"A+B->P": 1, "B+C->Q": 1, "C->2A": 0.5}, flows, np.array(equilibrium["c"])) < 1e-15
+
+
+def test_count_tiny_outflow_lists_the_path_root(capsys):
+    # At outflow 1e-9 no Newton start converges; the lambda-path, whose step
+    # floor scales with the strength of the system, reaches the one root,
+    # with the degree (-1)^5.
+    code, out, err = _run(capsys, "count", "--fixture", "example-6.1", *_K_61, "--outflow", "1e-9")
+    assert code == 2, err
+    report = json.loads(out)
+    assert report["newton_statuses"] == {"max-iterations": 1, "no-descent": 99}
+    assert (report["homotopy"]["steps"], report["homotopy"]["matched_equilibrium"]) == (44, 0)
+    (equilibrium,) = report["equilibria"]
+    assert equilibrium["c"] == report["homotopy"]["endpoint"]
+    assert report["degree_estimate"] == equilibrium["det_sign"] == -1
+    flows = FlowAugmentation.uniform(5, outflow=1e-9)
+    assert _relative_residual({"A+B->P": 1, "B+C->Q": 1, "C->2A": 0.5}, flows, np.array(equilibrium["c"])) < 1e-15
+
+
 def test_count_table1_iv_small_outflow(capsys):
     # Multistart Newton finds no root of this certified run; the lambda-path does.
     code, out, err = _run(capsys, "count", "--fixture", "table1-iv", *_unit_rates("table1-iv"), "--outflow", "1e-3")

@@ -35,7 +35,7 @@ from crncount.numeric import (
 from crncount.numeric import _newton, _orthant_step
 from crncount.polynomial import concentration, rate_constant
 
-from numeric_reference import reference_correct, reference_merge_roots, reference_track_homotopy
+from numeric_reference import reference_correct, reference_merge_roots, reference_step_fraction, reference_track_homotopy
 
 NET_61 = "A+B -> P\nB+C -> Q\nC -> 2A\n"
 
@@ -343,10 +343,12 @@ def _exact(poly, values):
 
 
 def _column_rates(sys, c):
-    """The rates as a product of one gathered factor column at a time."""
+    """The rates as a product of one gathered factor column at a time, the
+    padding slots reading a constant 1."""
     padded = np.concatenate([c, np.ones(np.shape(c)[:-1] + (1,))], axis=-1)
-    product = padded[..., sys.factors[:, 0]]
-    for column in sys.factors.T[1:]:
+    factors = np.where(sys.real_factors, sys.factors, sys.n)
+    product = padded[..., factors[:, 0]]
+    for column in factors.T[1:]:
         product = product * padded[..., column]
     return sys.k * product
 
@@ -489,6 +491,50 @@ def test_box_step_fraction_is_row_wise_and_stops_at_every_face():
     step = rng.normal(size=x.shape) * 10 ** rng.uniform(-2, 2, (500, 1))
     step[::5, 1] = 0.0
     _assert_fraction_reaches_nearest_face(box, x, step, box.step_fraction(x, step))
+
+
+def _face_cases(kind, n, rng):
+    """A domain of ``kind`` in R^n (None: the orthant) and a seeded (P, n)
+    stack of points and steps.  Some points lie on a face: a coordinate
+    plane, a box face, or (to rounding) the outer plane; some steps have
+    0.0 and -0.0 components, and some move parallel to the outer plane."""
+    if kind == "mass":
+        domain = MassDomain(10 ** rng.uniform(-2, 2, n), 10 ** rng.uniform(-1, 1, n), 10 ** rng.uniform(-3, 3))
+        x = np.vstack([domain.sample_interior(150, seed=n), domain.sample_outer(30, seed=n)])
+    elif kind == "box":
+        lo = rng.uniform(-1, 1, n)
+        domain = BoxDomain(lo, lo + 10 ** rng.uniform(-2, 2, n))
+        x = domain.sample_interior(180, seed=n)
+        x[::7, 0], x[3::7, -1] = domain.lo[0], domain.hi[-1]
+    else:
+        domain = None
+        x = 10 ** rng.uniform(-6, 6, (180, n))
+    if kind != "box":
+        x[::5, n // 2] = 0.0
+    step = rng.normal(size=x.shape) * 10 ** rng.uniform(-6, 6, (len(x), 1))
+    step[1::6, 0], step[2::6, -1] = 0.0, -0.0
+    if n > 1 and kind == "mass":
+        step[4::6] = 0.0
+        step[4::6, 0], step[4::6, 1] = domain.weights[1], -domain.weights[0]  # along the outer plane
+    return domain, x, step
+
+
+@pytest.mark.parametrize("kind", ["orthant", "mass", "box"])
+def test_face_step_fraction_matches_the_per_domain_formulas_bit_for_bit(kind):
+    # The one step rule over a domain's faces (A, b) gives the same floats,
+    # signed zeros included, as the per-domain formulas it replaced, on a
+    # stack and on each of its rows.
+    rng = np.random.default_rng(["orthant", "mass", "box"].index(kind))
+    bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+    for n in range(1, 10):
+        domain, x, step = _face_cases(kind, n, rng)
+        rule = _orthant_step if domain is None else domain.step_fraction
+        with np.errstate(over="ignore", under="ignore"):
+            alpha = rule(x, step)
+            np.testing.assert_array_equal(bits(alpha), bits(reference_step_fraction(domain, x, step)))
+            for i in range(0, len(x), 11):
+                assert bits(rule(x[i], step[i])) == bits(reference_step_fraction(domain, x[i], step[i]))
+        assert np.any(alpha == 0.0) and np.any(alpha == 1.0) and np.any((0 < alpha) & (alpha < 1))
 
 
 @pytest.mark.parametrize("name", ["cube-slow", "planted-6.1"])

@@ -26,22 +26,52 @@ def bench_pairs(monkeypatch):
     return module
 
 
-def test_bench_pairs_keeps_every_seed(bench_pairs, tmp_path):
-    # Two runs of one workload at seeds 7 and 3 into one --out file: the
-    # second adds its entry beside the first instead of replacing it.
+def _run_seeds(bench_pairs, tmp_path, seeds):
+    """bench_pairs.main on one workload at each seed in turn, into one --out file; the report."""
     for side in ("parent", "change"):
-        (tmp_path / side).mkdir()
+        (tmp_path / side).mkdir(exist_ok=True)
         (tmp_path / side / "BENCHMARK.json").write_text(
             json.dumps({"end_to_end": [{"name": "jobs_per_s", "better": "higher"}]}))
     out = tmp_path / "BENCH.json"
-    for seed in (7, 3):
+    for seed in seeds:
         argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "multistat",
                 "--pairs", "2", "--seconds", "1", "--seed", str(seed), "--out", str(out)]
         assert bench_pairs.main(argv) == 0
-    report = json.loads(out.read_text())
+    return json.loads(out.read_text())
+
+
+def test_bench_pairs_keeps_every_seed(bench_pairs, tmp_path):
+    # Two runs of one workload at seeds 7 and 3 into one --out file: the
+    # second adds its entry beside the first instead of replacing it.
+    report = _run_seeds(bench_pairs, tmp_path, (7, 3))
     assert sorted(report) == ["multistat seed 3", "multistat seed 7"]
     for seed in (7, 3):
         entry = report[f"multistat seed {seed}"]
         assert entry["seed"] == seed and entry["pairs"] == 2
         jobs = entry["metrics"]["jobs_per_s"]
         assert (jobs["parent"]["median"], jobs["change"]["median"], jobs["change"]["wins"]) == (seed, seed + 1, 2)
+
+
+def test_bench_pairs_keeps_a_repeat_run(bench_pairs, tmp_path, capsys):
+    # Three runs of one workload at one seed: each later run gets its own
+    # "repeat k" entry instead of replacing the first.  The stub's change wins
+    # every pair by 1 over a parent IQR of 0, so the claim rule is met.
+    report = _run_seeds(bench_pairs, tmp_path, (7, 7, 7))
+    assert sorted(report) == ["multistat seed 7", "multistat seed 7 repeat 2", "multistat seed 7 repeat 3"]
+    for entry in report.values():
+        assert entry["seed"] == 7 and entry["metrics"]["jobs_per_s"]["claim_met"] is True
+    assert capsys.readouterr().out.count("claim met") == 3
+
+
+def test_bench_pairs_claim_needs_a_gap_above_the_parent_iqr(bench_pairs):
+    # The change wins all four pairs, but by 1 against a parent IQR of 1.5;
+    # with lower-is-better the same figures are four parent wins.
+    def runs(parent, change):
+        return {side: [{"metrics": {"t": {"value": v, "unit": "s"}}} for v in values]
+                for side, values in (("parent", parent), ("change", change))}
+    higher = bench_pairs.compare(runs([10, 11, 12, 13], [11, 12, 13, 14]), [{"name": "t", "better": "higher"}])["t"]
+    assert (higher["change"]["wins"], higher["parent"]["iqr"], higher["claim_met"]) == (4, 1.5, False)
+    wide = bench_pairs.compare(runs([10, 11, 12, 13], [14, 15, 16, 17]), [{"name": "t", "better": "higher"}])["t"]
+    assert wide["claim_met"] is True
+    lower = bench_pairs.compare(runs([10, 11, 12, 13], [14, 15, 16, 17]), [{"name": "t", "better": "lower"}])["t"]
+    assert (lower["parent"]["wins"], lower["claim_met"]) == (4, False)

@@ -11,11 +11,16 @@ side runs first, one run at a time.  Each run's last stdout line is its JSON
 result.  For every end-to-end metric of the CHANGE checkout's
 ``BENCHMARK.json`` it reports, per side, the median, the quartiles and their
 distance (IQR), and the number of pairs the side won by the metric's
-``better`` direction (ties count for neither).  The figures and every run's
-raw values are written under the key ``"<workload> seed <seed>"`` of the
-``--out`` JSON file, which keeps the other entries already in it, so runs of
-one workload at two seeds land side by side; the file is rewritten after
-each workload, so an interrupted run keeps the workloads it finished.  A run
+``better`` direction (ties count for neither), and whether the change
+meets the claim rule for a gain: it won at least nine tenths of the pairs,
+and its median is better than the parent's by more than the parent's IQR.
+The figures and every run's raw values are written under the key
+``"<workload> seed <seed>"`` of the ``--out`` JSON file, which keeps the
+other entries already in it, so runs of one workload at two seeds land side
+by side; a later run of a workload and seed already in the file goes under
+``"<workload> seed <seed> repeat <k>"``, k = 2, 3, ..., beside the first.
+The file is rewritten after each workload, so an interrupted run keeps the
+workloads it finished.  A run
 that exits non-zero stops the tool with exit code 1, naming the workload and
 side and printing the tail of that run's stderr.
 """
@@ -58,12 +63,28 @@ def compare(runs: dict, metrics: list) -> dict:
         values = {side: [run["metrics"][name]["value"] for run in runs[side]] for side in SIDES}
         margins = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
         wins = {"parent": sum(m < 0 for m in margins), "change": sum(m > 0 for m in margins)}
+        summary = {side: summarize(values[side], wins[side]) for side in SIDES}
+        gap = sign * (summary["change"]["median"] - summary["parent"]["median"])
         out[name] = {
             "unit": runs["change"][0]["metrics"][name]["unit"],
             "better": metric["better"],
-            **{side: summarize(values[side], wins[side]) for side in SIDES},
+            **summary,
+            # the claim rule: at least 9 pairs in 10 won, by a median gap above the parent's IQR
+            "claim_met": 10 * wins["change"] >= 9 * len(margins) and gap > summary["parent"]["iqr"],
         }
     return out
+
+
+def entry_key(report: dict, workload: str, seed: int) -> str:
+    """The key of a new entry: ``"<workload> seed <seed>"``, or its first free
+    ``repeat <k>`` when the report has that entry already."""
+    key = f"{workload} seed {seed}"
+    if key not in report:
+        return key
+    k = 2
+    while f"{key} repeat {k}" in report:
+        k += 1
+    return f"{key} repeat {k}"
 
 
 def run_workload(checkouts: dict, workload: str, args) -> dict:
@@ -101,7 +122,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         report = json.loads(args.out.read_text()) if args.out.exists() else {}
-        key = f"{workload} seed {args.seed}"
+        key = entry_key(report, workload, args.seed)
         report[key] = {
             "seed": args.seed,
             "seconds": args.seconds,
@@ -118,6 +139,7 @@ def main(argv=None) -> int:
             print(
                 f"{workload} {name:12s} parent {p['median']:.4g} (IQR {p['iqr']:.3g}, wins {p['wins']})"
                 f"  change {c['median']:.4g} (IQR {c['iqr']:.3g}, wins {c['wins']}) {row['unit']}"
+                f"  claim {'met' if row['claim_met'] else 'not met'}"
             )
     return 0
 
