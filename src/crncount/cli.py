@@ -282,7 +282,7 @@ def _count_along_path(sys_, domain):
     raises.
     """
     path = track_homotopy(sys_, domain)
-    endpoint = Equilibrium.at(sys_, path.endpoint, path.endpoint_residual)
+    (endpoint,) = Equilibrium.at(sys_, [path.endpoint], [path.endpoint_residual])
     counted = {"equilibria": [endpoint.to_dict()], "degree_estimate": endpoint.det_sign}
     return {**counted, "tol": CORRECTOR_TOL, "homotopy": path.to_dict()}
 
@@ -298,7 +298,7 @@ def _count_by_multistart(sys_, domain, args):
         return {**report_eq.to_dict(), "homotopy": {"stalled": True, "reason": str(exc), "last_lambda": exc.last_lambda}}
     matched = match_endpoint(report_eq, path.endpoint)
     if matched is None and domain.contains(path.endpoint):
-        endpoint = Equilibrium.at(sys_, path.endpoint, path.endpoint_residual)
+        (endpoint,) = Equilibrium.at(sys_, [path.endpoint], [path.endpoint_residual])
         report_eq.equilibria = sorted([*report_eq.equilibria, endpoint], key=lambda e: e.point)
         matched = report_eq.equilibria.index(endpoint)
     return {**report_eq.to_dict(), "homotopy": {**path.to_dict(), "matched_equilibrium": matched}}

@@ -221,17 +221,32 @@ CLOSURE_TOL = 1e-9  # relative slack of contains(c, closed=True), the homotopy's
 class Faces:
     """The open polyhedron {x : A x < b}: row j of ``A`` (F, n) is the
     outward normal of face j and ``b[j]`` its offset.  The open positive
-    orthant is (-I, 0); the counting domains are such polyhedra, and their
-    Newton steps share one step rule, ``step_fraction``."""
+    orthant is (-I, 0); the counting domains are such polyhedra, and they
+    share one membership rule, ``contains``, and one Newton step rule,
+    ``step_fraction``, both read through ``project``."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         self.A, self.b = A, b
         A.flags.writeable = b.flags.writeable = False
 
+    @property
+    def n(self) -> int:
+        return self.A.shape[1]
+
     def project(self, y: np.ndarray) -> np.ndarray:
         """A y: the components of a point or step y (n,), or of each row of
         a (P, n) stack, along the outward normals, as (F,) or (F, P)."""
         return self.A @ y.T
+
+    def contains(self, c: np.ndarray, closed: bool = False):
+        """Membership of a point (n,) as a bool, or of each row of a (P, n)
+        stack as (P,): A c < b, or with ``closed`` A c <= b + slack, the slack
+        CLOSURE_TOL * (1 + max|b|) of the homotopy's domain check."""
+        c = np.asarray(c)
+        b = self.b if c.ndim == 1 else self.b[:, None]
+        if closed:
+            return np.all(self.project(c) <= b + CLOSURE_TOL * (1.0 + np.max(np.abs(self.b))), axis=0)
+        return np.all(self.project(c) < b, axis=0)
 
     def step_fraction(self, x: np.ndarray, step: np.ndarray) -> np.ndarray:
         """Step fraction alpha <= 1, one per row of x, that keeps x + alpha*step
@@ -253,7 +268,8 @@ def _orthant(n: int) -> Faces:
 
 class MassDomain(Faces):
     """Open bounded region {c > 0 : m . (outflow * c) < M}: the faces of the
-    orthant and the outer plane, A = [-I; m*outflow] and b = [0, ..., 0, M]."""
+    orthant and the outer plane, A = [-I; m*outflow] and b = [0, ..., 0, M].
+    Its closed membership slack is CLOSURE_TOL * (1 + M)."""
 
     def __init__(self, m: Sequence[float], outflow: Sequence[float], bound: float):
         self.m = np.array([float(x) for x in m])
@@ -262,11 +278,8 @@ class MassDomain(Faces):
         if any(self.m <= 0) or any(self.outflow <= 0) or self.bound <= 0:
             raise ValueError("domain needs positive mass vector, outflows, and bound")
         self.weights = self.m * self.outflow
-        super().__init__(np.vstack([-np.eye(self.n), self.weights]), np.r_[np.zeros(self.n), self.bound])
-
-    @property
-    def n(self) -> int:
-        return len(self.m)
+        n = len(self.m)
+        super().__init__(np.vstack([-np.eye(n), self.weights]), np.r_[np.zeros(n), self.bound])
 
     def project(self, y: np.ndarray) -> np.ndarray:
         # The outer plane's row is taken as y @ weights: BLAS need not round it
@@ -275,14 +288,6 @@ class MassDomain(Faces):
         out = self.A @ y.T
         out[-1] = y @ self.weights
         return out
-
-    def contains(self, c: np.ndarray, closed: bool = False):
-        """Membership of each point of a (..., n) stack; ``closed`` widens the closure by CLOSURE_TOL."""
-        c = np.asarray(c)
-        if closed:
-            slack = CLOSURE_TOL * (1.0 + self.bound)
-            return np.all(c >= -slack, axis=-1) & (c @ self.weights <= self.bound + slack)
-        return np.all(c > 0, axis=-1) & (c @ self.weights < self.bound)
 
     def sample_interior(self, count: int, seed: int) -> np.ndarray:
         X = _simplex_points(self.n, count, seed, on_face=False)
@@ -302,27 +307,16 @@ class MassDomain(Faces):
 
 class BoxDomain(Faces):
     """Open axis-aligned box, e.g. the unit cube of the cascade models: the
-    faces A = [-I; I] and b = [-lo, hi]."""
+    faces A = [-I; I] and b = [-lo, hi].  Its closed membership slack is
+    CLOSURE_TOL * (1 + max(|lo|, |hi|))."""
 
     def __init__(self, lo: Sequence[float], hi: Sequence[float]):
         self.lo = np.array([float(x) for x in lo])
         self.hi = np.array([float(x) for x in hi])
         if any(self.lo >= self.hi):
             raise ValueError("box needs lo < hi in every coordinate")
-        eye = np.eye(self.n)
+        eye = np.eye(len(self.lo))
         super().__init__(np.vstack([-eye, eye]), np.r_[-self.lo, self.hi])
-
-    @property
-    def n(self) -> int:
-        return len(self.lo)
-
-    def contains(self, c: np.ndarray, closed: bool = False):
-        """Membership of each point of a (..., n) stack; ``closed`` widens the closure by CLOSURE_TOL."""
-        c = np.asarray(c)
-        if closed:
-            slack = CLOSURE_TOL * (1.0 + np.max(np.abs(self.hi)))
-            return np.all((c >= self.lo - slack) & (c <= self.hi + slack), axis=-1)
-        return np.all((c > self.lo) & (c < self.hi), axis=-1)
 
     def sample_interior(self, count: int, seed: int) -> np.ndarray:
         u = _halton(self.n, count, seed)
@@ -409,28 +403,31 @@ def make_domain(m, flows: FlowAugmentation, bound: float) -> MassDomain:
             not strictly larger than m . c_in, when it is not finite, or
             when m . c_in itself overflows.
     """
-    entries = m.as_floats() if isinstance(m, MassVector) else [float(x) for x in m]
-    min_bound = _mass_inflow(entries, flows)
-    if not bound > min_bound:
-        raise ValueError(f"bound M = {bound} must satisfy M > m . c_in = {min_bound}")
-    if not math.isfinite(bound):
-        raise ValueError(f"bound M = {bound} must be finite")
-    return MassDomain(entries, flows.outflow, bound)
+    return _bounded_domain(*_mass_inflow(m, flows), flows, bound)
 
 
 def default_domain(m, flows: FlowAugmentation) -> MassDomain:
-    """Domain with M = 10 * (m . c_in)."""
+    """Domain with M = 10 * (m . c_in), checked as ``make_domain`` checks M."""
+    entries, inflow = _mass_inflow(m, flows)
+    return _bounded_domain(entries, inflow, flows, 10.0 * inflow)
+
+
+def _mass_inflow(m, flows: FlowAugmentation) -> Tuple[Sequence[float], float]:
+    """(m as floats, m . c_in), or a ValueError naming the inflow when m . c_in overflows."""
     entries = m.as_floats() if isinstance(m, MassVector) else [float(x) for x in m]
-    return make_domain(m, flows, 10.0 * _mass_inflow(entries, flows))
-
-
-def _mass_inflow(entries, flows: FlowAugmentation) -> float:
-    """m . c_in, or a ValueError naming the inflow when it overflows."""
     with np.errstate(over="ignore"):
         value = float(np.dot(entries, flows.inflow))
     if not math.isfinite(value):
         raise ValueError(f"m . c_in = {value} overflows for inflow {', '.join(map(str, flows.inflow))}")
-    return value
+    return entries, value
+
+
+def _bounded_domain(entries: Sequence[float], inflow: float, flows: FlowAugmentation, bound: float) -> MassDomain:
+    if not bound > inflow:
+        raise ValueError(f"bound M = {bound} must satisfy M > m . c_in = {inflow}")
+    if not math.isfinite(bound):
+        raise ValueError(f"bound M = {bound} must be finite")
+    return MassDomain(entries, flows.outflow, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +620,16 @@ class Equilibrium:
     det_sign: int
 
     @classmethod
-    def at(cls, sys: NumericSystem, point, residual: float) -> "Equilibrium":
-        """The root ``point`` of ``sys``, signed by slogdet(sys.jac(point))."""
-        c = np.array(point, dtype=float)
-        return cls(tuple(c.tolist()), float(residual), int(np.linalg.slogdet(sys.jac(c))[0]))
+    def at(cls, sys: NumericSystem, points, residuals: Sequence[float]) -> List["Equilibrium"]:
+        """The roots ``points`` (P, n) of ``sys`` with their residuals, each
+        signed by det J there.  Every root is signed here: one evaluation
+        and one slogdet sign the stack, and ``evaluate`` broadcasts a custom
+        jac that returns one (n, n) matrix."""
+        if len(points) == 0:
+            return []
+        c = np.array(points, dtype=float)
+        signs = np.linalg.slogdet(sys.evaluate(c)[1]())[0].tolist()
+        return [cls(tuple(p), float(r), int(sign)) for p, r, sign in zip(c.tolist(), residuals, signs)]
 
     def to_dict(self) -> dict:
         return {"c": list(self.point), "residual": self.residual, "det_sign": self.det_sign}
@@ -702,12 +705,7 @@ def count_equilibria(sys: NumericSystem, domain, starts: int, seed: int) -> Equi
                 break
         else:
             reps.append([p, residual, DEDUP_RADIUS * (1.0 + _norm(p))])
-    # One evaluation and one slogdet sign all representatives; ``evaluate``
-    # broadcasts a custom jac that returns one (n, n) matrix.
-    signs = []
-    if reps:
-        signs = np.linalg.slogdet(sys.evaluate(np.array([p for p, _, _ in reps]))[1]())[0].tolist()
-    equilibria = [Equilibrium(tuple(p.tolist()), residual, int(sign)) for (p, residual, _), sign in zip(reps, signs)]
+    equilibria = Equilibrium.at(sys, [p for p, _, _ in reps], [residual for _, residual, _ in reps])
     return EquilibriumReport(equilibria, starts, seed, dict(sorted(Counter(statuses.tolist()).items())))
 
 

@@ -18,6 +18,12 @@ and residuals.
 shared one rule over their faces (A, b): the crossings of the coordinate
 planes and of the outer plane or the box's faces, each taken on its own.
 Tests require the same bits.
+
+``reference_contains`` is the membership test of a ``MassDomain`` and a
+``BoxDomain`` as each wrote it before the domains shared one rule over
+their faces: coordinate bounds and the outer plane compared one by one, the
+closed slack CLOSURE_TOL * (1 + M) or CLOSURE_TOL * (1 + max|hi|).  Tests
+require the same booleans.
 """
 
 import math
@@ -26,6 +32,7 @@ from typing import List, Tuple
 import numpy as np
 
 from crncount.numeric import (
+    CLOSURE_TOL,
     CORRECTOR_MAX_ITER,
     CORRECTOR_REL_TOL,
     CORRECTOR_TOL,
@@ -152,3 +159,16 @@ def reference_step_fraction(domain, x: np.ndarray, step: np.ndarray) -> np.ndarr
         outer = _crossing(domain.bound - x @ domain.weights, step @ domain.weights)
         return _fraction(np.minimum(_crossing(x, -step).min(axis=-1), outer))
     return _fraction(np.minimum(_crossing(x - domain.lo, -step), _crossing(domain.hi - x, step)).min(axis=-1))
+
+
+def reference_contains(domain, c: np.ndarray, closed: bool = False):
+    """Membership of each point of a (..., n) stack in a MassDomain or a BoxDomain."""
+    if isinstance(domain, MassDomain):
+        if closed:
+            slack = CLOSURE_TOL * (1.0 + domain.bound)
+            return np.all(c >= -slack, axis=-1) & (c @ domain.weights <= domain.bound + slack)
+        return np.all(c > 0, axis=-1) & (c @ domain.weights < domain.bound)
+    if closed:
+        slack = CLOSURE_TOL * (1.0 + np.max(np.abs(domain.hi)))
+        return np.all((c >= domain.lo - slack) & (c <= domain.hi + slack), axis=-1)
+    return np.all((c > domain.lo) & (c < domain.hi), axis=-1)

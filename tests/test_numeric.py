@@ -12,6 +12,7 @@ from crncount.jacobian import augmented_mass_action_jacobian, outflow_constant
 from crncount.network import FlowAugmentation, NetworkError
 from crncount.numeric import (
     BOX_ZERO_TOL,
+    CLOSURE_TOL,
     COUNT_TOL,
     LAMBDA_GRID,
     NEWTON_MAX_ITER,
@@ -35,7 +36,13 @@ from crncount.numeric import (
 from crncount.numeric import _newton, _orthant_step
 from crncount.polynomial import concentration, rate_constant
 
-from numeric_reference import reference_correct, reference_merge_roots, reference_step_fraction, reference_track_homotopy
+from numeric_reference import (
+    reference_contains,
+    reference_correct,
+    reference_merge_roots,
+    reference_step_fraction,
+    reference_track_homotopy,
+)
 
 NET_61 = "A+B -> P\nB+C -> Q\nC -> 2A\n"
 
@@ -535,6 +542,38 @@ def test_face_step_fraction_matches_the_per_domain_formulas_bit_for_bit(kind):
             for i in range(0, len(x), 11):
                 assert bits(rule(x[i], step[i])) == bits(reference_step_fraction(domain, x[i], step[i]))
         assert np.any(alpha == 0.0) and np.any(alpha == 1.0) and np.any((0 < alpha) & (alpha < 1))
+
+
+@pytest.mark.parametrize("kind", ["mass", "box"])
+def test_face_membership_matches_the_per_domain_tests(kind):
+    # The one membership rule over a domain's faces gives the booleans of the
+    # per-domain tests it replaced, open and closed, on a stack and on each
+    # of its rows: points on a face, +-0.0 coordinates, and points outside
+    # by less and by more than the closed slack.
+    rng = np.random.default_rng(["mass", "box"].index(kind))
+    for n in range(1, 8):
+        if kind == "mass":
+            domain = MassDomain(10 ** rng.uniform(-2, 2, n), 10 ** rng.uniform(-1, 1, n), 10 ** rng.uniform(-3, 3))
+            x = np.vstack([domain.sample_interior(40, seed=n), domain.sample_outer(40, seed=n), domain.sample_side(0, 20, seed=n)])
+            slack = CLOSURE_TOL * (1.0 + domain.bound)
+            x[1::9] *= 1 + 0.5 * slack / domain.bound  # past the outer plane, within the slack
+            x[2::9] *= 1 + 4.0 * slack / domain.bound
+        else:
+            lo = np.where(np.arange(n) % 2, rng.uniform(0, 1, n), 0.0)
+            domain = BoxDomain(lo, lo + 10 ** rng.uniform(-2, 2, n))
+            x = domain.sample_interior(100, seed=n)
+            slack = CLOSURE_TOL * (1.0 + np.max(domain.hi))
+            x[::7, 0], x[3::7, -1] = domain.lo[0], domain.hi[-1]
+            x[1::9, -1], x[2::9, 0] = domain.hi[-1] + 0.5 * slack, domain.lo[0] - 4.0 * slack
+        x[4::9, -1], x[5::9, -1], x[6::9, 0] = 0.0, -0.0, -0.5 * slack
+        for closed in (False, True):
+            inside = domain.contains(x, closed)
+            np.testing.assert_array_equal(inside, reference_contains(domain, x, closed))
+            # A single point's outer-plane product is a dot product, which
+            # need not round as the stack's matrix product does.
+            assert [domain.contains(row, closed) for row in x] == [reference_contains(domain, row, closed) for row in x]
+            assert inside.any() and not inside.all()
+        assert (domain.contains(x, closed=True) & ~domain.contains(x)).any()  # the slack counts
 
 
 @pytest.mark.parametrize("name", ["cube-slow", "planted-6.1"])

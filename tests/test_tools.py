@@ -75,3 +75,70 @@ def test_bench_pairs_claim_needs_a_gap_above_the_parent_iqr(bench_pairs):
     assert wide["claim_met"] is True
     lower = bench_pairs.compare(runs([10, 11, 12, 13], [14, 15, 16, 17]), [{"name": "t", "better": "lower"}])["t"]
     assert (lower["parent"]["wins"], lower["claim_met"]) == (4, False)
+
+
+@pytest.fixture
+def job_diff(monkeypatch):
+    # Each checkout's rows come from the census API in this process, with
+    # three random networks, and every ring at n = 5: the larger rings take
+    # most of a census pass.
+    import census_reference
+
+    module = _load("job_diff")
+    ring = census_reference.ring(5)
+    monkeypatch.setattr(module, "RANDOM_NETWORKS", 3)
+    monkeypatch.setattr(census_reference, "ring", lambda n: ring)
+
+    def run_checkout(checkout, seeds):
+        return {(seed, job): ("census-api", code, text) for seed in seeds for job, code, text in module.censuses(seed)}
+
+    monkeypatch.setattr(module, "run_checkout", run_checkout)
+    return module
+
+
+def test_job_diff_differences_name_each_leaf_path(job_diff):
+    a = {"x": 1, "y": [1.0, {"z": "a"}], "w": [1, 2], "v": 2}
+    b = {"x": 1, "y": [1.5, {"z": "b"}], "w": [1], "u": 3, "v": 2.0}
+    assert list(job_diff.differences(a, b)) == [
+        ("u", "<absent>", 3), ("v", 2, 2.0), ("w.length", 2, 1), ("y[0]", 1.0, 1.5), ("y[1].z", "a", "b"),
+    ]
+    assert job_diff.relative_change(1.0, 1.5) == 0.5 / 1.5 and job_diff.relative_change(2, 2.0) is None
+
+
+def _summary(out, row):
+    return [line for line in out.splitlines() if line.startswith(f"summary {row}:")]
+
+
+def test_job_diff_identical_sides_exit_0(job_diff, capsys):
+    assert job_diff.main(["parent", "parent", "5"]) == 0
+    out = capsys.readouterr().out
+    assert _summary(out, "census-api") == ["summary census-api: 0 of 80 jobs differ"]
+    assert _summary(out, "count") == ["summary count: 0 of 0 jobs differ"]
+
+
+def test_job_diff_names_a_census_change(job_diff, monkeypatch, capsys):
+    # The change side writes its dominance inequalities with "=<": the
+    # census-api row names the paths that moved, and main exits 1.
+    from crncount import jacobian
+
+    group_inequality, run_checkout = jacobian._group_inequality, job_diff.run_checkout
+
+    def changed(*args):
+        inequality, lhs, rhs = group_inequality(*args)
+        return inequality.replace("<=", "=<"), lhs, rhs
+
+    def run_side(checkout, seeds):
+        with monkeypatch.context() as patch:
+            if checkout.name == "change":
+                patch.setattr(jacobian, "_group_inequality", changed)
+            return run_checkout(checkout, seeds)
+
+    monkeypatch.setattr(job_diff, "run_checkout", run_side)
+    assert job_diff.main(["parent", "change", "5"]) == 1
+    summary = _summary(capsys.readouterr().out, "census-api")
+    assert summary[0].startswith("summary census-api: ") and summary[0].endswith(" of 80 jobs differ")
+    assert int(summary[0].split()[2]) > 0
+    assert summary[1:] == [
+        "summary census-api: conditions[].inequality changed",
+        "summary census-api: report.dominance_conditions[].inequality changed",
+    ]

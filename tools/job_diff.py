@@ -7,7 +7,15 @@ Usage, from anywhere:
 For each seed, builds the census, count and multistat job lists of each
 checkout's ``bench/workloads.py`` and runs every job once, one checkout at a
 time, each in a child process that imports the program from that
-checkout's ``src``.  For each job whose output differs it prints
+checkout's ``src``.  The child also runs the census API on every network
+fixture, the Table-1 ring family at n = 5, 7, ..., 13 and RANDOM_NETWORKS
+networks from the checkout's ``tests/census_reference.random_network_text``
+(every third one general), each in both kinetics and both outflow modes:
+each configuration is one ``census-api`` job, ``name kinetics outflow``,
+whose output holds every Jacobian entry, the sorted expansion terms, the
+``SignSummary`` repr, the fields of every ``DominanceCondition`` and the
+census report, or the error it raises (exit 1).  For each job whose output
+differs it prints
 
     seed job: <exit> P -> C                    (when the exit codes differ)
     seed job: path P -> C [rel R]              (each differing JSON value)
@@ -15,10 +23,10 @@ checkout's ``src``.  For each job whose output differs it prints
 where path names the value inside the job's JSON output (``homotopy.steps``,
 ``equilibria[0].c[2]``) and a float pair carries its relative change
 |P - C| / max(|P|, |C|).  An output that is not JSON is compared as text.
-The last lines summarise, per workload, how many jobs differ and, for each
-path that differs (list indices dropped), the largest relative change of
-its floats, or that it changed.  Exit code 0 when every job matches, 1 when
-any differs, 2 on a usage error.
+The last lines summarise, per workload and for ``census-api``, how many
+jobs differ and, for each path that differs (list indices dropped), the
+largest relative change of its floats, or that it changed.  Exit code 0
+when every job matches, 1 when any differs, 2 on a usage error.
 
 ``--emit CHECKOUT SEED...`` is the child's mode: it prints one JSON line
 {seed, workload, job, code, text} per job.
@@ -26,6 +34,7 @@ any differs, 2 on a usage error.
 
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -33,10 +42,11 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("census", "count", "multistat")
+RANDOM_NETWORKS = 400
 
 
 def emit(checkout: Path, seeds) -> None:
-    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench"), str(checkout / "tests")]
     import workloads
 
     for seed in seeds:
@@ -46,6 +56,52 @@ def emit(checkout: Path, seeds) -> None:
                     result = job.run()
                     line = {"seed": seed, "workload": workload, "job": job.name, "code": result.code, "text": result.text}
                     print(json.dumps(line), flush=True)
+        for job, code, text in censuses(seed):
+            print(json.dumps({"seed": seed, "workload": "census-api", "job": job, "code": code, "text": text}), flush=True)
+
+
+def censuses(seed: int):
+    """(job, exit, output) of the census API on every census configuration of one seed."""
+    from census_reference import random_network_text, ring
+    from crncount.dsl import parse_network
+    from crncount.fixtures import NETWORK_FIXTURES, fixture_network
+    from crncount.jacobian import augmented_mass_action_jacobian, build_general_jacobian
+    from crncount.jacobian import census_report, dominance_conditions, sign_census
+    from crncount.network import with_general_kinetics
+    from crncount.polynomial import determinant_expand
+
+    rng = random.Random(seed)
+    nets = [(name, fixture_network(name)) for name in sorted(NETWORK_FIXTURES)]
+    nets += [(f"ring-{n}", ring(n)) for n in range(5, 14, 2)]
+    nets += [(f"random-{seed}-{i}", random_network_text(rng, general=i % 3 == 2)) for i in range(RANDOM_NETWORKS)]
+    for name, net in nets:
+        for kinetics in ("mass-action", "general"):
+            for outflow in ("unit", "symbolic"):
+                try:
+                    net = parse_network(net) if isinstance(net, str) else net
+                    J = (build_general_jacobian(with_general_kinetics(net), outflow) if kinetics == "general"
+                         else augmented_mass_action_jacobian(net, outflow))
+                    det = determinant_expand(J)
+                    census = sign_census(det, net.n)
+                    conditions = dominance_conditions(det, census)
+                    # A monomial's indeterminates are (kind, key, sign) tuples,
+                    # written as JSON lists; their repr is only the display name.
+                    record = {
+                        "jacobian": [[str(entry) for entry in row] for row in J],
+                        "terms": det.sorted_terms(),
+                        "census": repr(census),
+                        "conditions": [vars(c) for c in conditions],
+                        "report": census_report(net, census, conditions),
+                    }
+                except ValueError as exc:
+                    yield f"{name} {kinetics} {outflow}", 1, f"{type(exc).__name__}: {exc}"
+                else:
+                    yield f"{name} {kinetics} {outflow}", 0, json.dumps(record, default=_plain)
+
+
+def _plain(value):
+    """JSON form of a census object json cannot write: a dataclass's fields, or a Fraction's text."""
+    return vars(value) if hasattr(value, "__dict__") else str(value)
 
 
 def run_checkout(checkout: Path, seeds) -> dict:
@@ -102,7 +158,7 @@ def main(argv) -> int:
         return 2
     seeds = list(map(int, argv[2:]))
     parent, change = (run_checkout(Path(arg).resolve(), seeds) for arg in argv[:2])
-    summary = {w: {"jobs": 0, "differ": 0, "paths": {}} for w in WORKLOADS}
+    summary = {row: {"jobs": 0, "differ": 0, "paths": {}} for row in (*WORKLOADS, "census-api")}
     for key in sorted(set(parent) | set(change)):
         seed, job = key
         if key not in parent or key not in change:
