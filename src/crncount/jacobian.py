@@ -186,8 +186,10 @@ def sign_census(det: Polynomial, n: int) -> SignSummary:
     The reference sign is (-1)^n, the degree of the pure-flow system;
     a term is anomalous when its definite pointwise sign is the opposite.
     Terms containing an unknown-sign partial are counted separately,
-    never silently resolved.  The sign rule is written here only: each
-    packed term is tested against the unknown-sign and parity masks.
+    never silently resolved.  The coefficient histogram lists its
+    coefficients in ascending order, whatever order the expansion gives
+    its terms.  The sign rule is written here only: each packed term is
+    tested against the unknown-sign and parity masks.
     """
     reference = -1 if n % 2 else 1
     packed = det.packed
@@ -207,7 +209,7 @@ def sign_census(det: Polynomial, n: int) -> SignSummary:
         n=n,
         reference_sign=reference,
         total_terms=len(coefficients),
-        coefficient_histogram=dict(Counter(known.values())),
+        coefficient_histogram=dict(sorted(Counter(known.values()).items())),
         anomalous_terms=terms,
         unknown_sign_terms=len(coefficients) - len(known),
     )
@@ -378,7 +380,7 @@ def census_report(net: ReactionNetwork, census: SignSummary, conditions: Sequenc
         "reference_sign": census.reference_sign,
         "uniqueness_certified": census.certified_one_signed,
         "total_terms": census.total_terms,
-        "histogram": {str(k): v for k, v in sorted(census.coefficient_histogram.items())},
+        "histogram": {str(k): v for k, v in census.coefficient_histogram.items()},
         "anomalous": [
             {
                 "term": t.render(),

@@ -9,6 +9,7 @@ all operations are pure, so polynomials are safe to share concurrently.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import itemgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -169,7 +170,10 @@ class PackedTerms:
 
     def encode(self, m: Monomial) -> int:
         shifts = self._shifts
-        return sum(e << shifts[x] for x, e in m)
+        packed = 0
+        for x, e in m:  # a plain loop: sum() over a generator costs twice as much
+            packed += e << shifts[x]
+        return packed
 
     def decode(self, packed: int) -> Monomial:
         """The tuple monomial, from the set fields only, lowest first."""
@@ -388,16 +392,55 @@ def determinant_expand(matrix: Sequence[Sequence[Polynomial]], max_dim: int = DE
     The result stays packed: ``len`` reads it as is, and ``.terms``
     decodes it on first access.
 
-    Level k holds one minor per set of k columns that the first k ordered
-    rows can fill.  The set lies in the t columns those rows touch, and it
-    holds each of them that no later row touches: a minor that misses one
-    could never be completed, so it is not formed.  The other touched
-    columns form the front, and the set leaves out t - k of them, so a
-    level holds at most C(front, t - k) minors.  ``_frontier_order`` keeps
-    t - k small, as frontal elimination orderings keep their front small:
-    on the Table-1 ring family at n = 11-19 no level holds more than 24
-    minors.  Each minor is popped as it is consumed, so the DP holds about
-    one level at a time.
+    Rows are taken in ``_frontier_order``.  Level k of the one-sided DP
+    holds one minor per set of k columns that the first k ordered rows can
+    fill.  The set lies in the t columns those rows touch, and it holds
+    each of them that no later row touches: a minor that misses one could
+    never be completed, so it is not formed.  The other touched columns
+    form the front, and the set leaves out t - k of them, so a level holds
+    at most C(front, t - k) minors.  The frontier order keeps t - k small,
+    as frontal elimination orderings keep their front small: on the
+    Table-1 ring family at n = 11-19 no level holds more than 24 minors.
+    Each minor is popped as it is consumed, so a DP holds about one level
+    at a time.
+
+    The one-sided DP forms its largest minors last, at n - 1 rows.  Where
+    it narrows, the expansion meets in the middle instead.
+    ``_split_level`` reads the number of minors at each level of the
+    one-sided DP, which the rows' supports alone fix, and takes the level
+    h nearest the middle that holds no more minors than an earlier level
+    and fewer than a later one; where no level narrows, it keeps the
+    one-sided DP.  The split is a generalized Laplace expansion along the
+    first h ordered rows: the same DP runs over the first h rows (top) and
+    over the other n - h (bottom), whose minors must hold every column no
+    top row touches, and
+
+        det = sgn(order) * sum over S of (-1)^#{a in S, b not in S: a > b}
+              * top[S] * bottom[complement of S],
+
+    where (-1)^#{...} = (-1)^(sum(S) - h(h-1)/2), sum(S) being the sum of
+    the column indices in S.
+
+    Both halves and the join drop the products that repeat a rank-one
+    block.  A block is a set X of non-concentration indeterminates such
+    that (a) every term holds at most one symbol of X, to the first power,
+    and (b) the nonzero rows of the X-part of the matrix are integer
+    multiples of one row.  Then J = J0 + u z^T with J0 and the integer
+    vector u free of X, and by the matrix determinant lemma, det(A + u z^T)
+    = det A + z^T adj(A) u, every minor of J has X-degree at most 1 (Horn &
+    Johnson, Matrix Analysis, 2nd ed., 2013).  A product whose two factors
+    each hold a symbol of X is a term of X-degree 2, and such products make
+    up all of a minor's X-degree-2 terms, so they sum to zero and are
+    dropped unsummed.  In a mass-action Jacobian the blocks are the rate
+    constants of the groups of reactions with parallel reaction vectors.
+    ``_rank_one_blocks`` finds them in the matrix and checks (a) and (b) on
+    every term before any product is dropped.  Each block gets a two-bit
+    counter above the exponent fields, 1 on the terms that hold one of its
+    symbols, and a product whose counter reaches 2 is dropped; the join
+    multiplies only the term groups that share no block and writes the
+    monomials without counters.  The one-sided DP lets those products
+    cancel: on the census-workload matrices it is kept for (n <= 7),
+    finding the blocks cost more than dropping saved.
 
     Raises:
         ValueError: on a non-square or empty matrix.
@@ -409,48 +452,199 @@ def determinant_expand(matrix: Sequence[Sequence[Polynomial]], max_dim: int = DE
     if n > max_dim:
         raise DeterminantSizeError(f"matrix dimension {n} exceeds expansion cap {max_dim}")
 
-    packed = PackedTerms(_exponent_fields(matrix))
-    row_terms = [[{packed.encode(m): c for m, c in entry.terms.items()} for entry in row] for row in matrix]
-    supports = [sum(1 << j for j, entry in enumerate(row) if entry) for row in row_terms]
+    fields = _exponent_fields(matrix)
+    packed = PackedTerms(fields)
+    encode = packed.encode
+    # Each row's nonzero entries, as (column bit, packed term map).
+    rows = [[(1 << j, {encode(m): c for m, c in terms.items()})
+             for j, terms in enumerate([entry.terms for entry in row]) if terms]
+            for row in matrix]
+    supports = [sum(bit for bit, _ in row) for row in rows]
     order = _frontier_order(supports)
+    rows = [rows[i] for i in order]
+    full = (1 << n) - 1
     # closed[k]: the columns that no row after the k-th ordered one touches.
-    closed = [(1 << n) - 1] * n
+    closed = [full] * n
     for k in range(n - 2, -1, -1):
         closed[k] = closed[k + 1] & ~supports[order[k + 1]]
+    h = _split_level(rows, closed)
+    if h == n:
+        packed.coefficients = _minors(rows, closed, _permutation_sign(order)).get(full, {})
+        return Polynomial._of(None, packed)
 
-    # level[mask] = packed term map of the minor using the first k ordered
-    # rows and the columns in mask, times the sign of the row order.
-    level: Dict[int, Dict[int, int]] = {0: {0: _permutation_sign(order)}}
-    for k, i in enumerate(order):
-        need = closed[k]
+    width = sum(ones.bit_length() for _, _, ones in fields)
+    over = 0  # the high bit of every block's counter
+    for b, places in enumerate(_rank_one_blocks(packed, rows)):
+        counter = 1 << (width + 2 * b)
+        over |= counter << 1
+        for entry, m in places:
+            entry[m | counter] = entry.pop(m)
+    top = _minors(rows[:h], closed, _permutation_sign(order), over)
+    touched = 0  # the columns of the top rows
+    for i in order[:h]:
+        touched |= supports[i]
+    bottom = _minors(rows[h:], [need & ~touched for need in closed[h:]], 1, over)
+    odd = sum(1 << j for j in range(1, n, 2))
+    terms: Dict[int, int] = {}
+    for mask, upper in top.items():
+        lower = bottom.get(full ^ mask)
+        if lower:
+            # The shuffle sign above: sum(S) is odd when S holds an odd
+            # number of odd columns.
+            sign = -1 if ((mask & odd).bit_count() + h * (h - 1) // 2) & 1 else 1
+            _join(terms, upper, lower, sign, width)
+    packed.coefficients = terms
+    return Polynomial._of(None, packed)
+
+
+def _minors(rows, closed: Sequence[int], sign: int, over: int = 0) -> Dict[int, Dict[int, int]]:
+    """The last level of the subset DP over ``rows``: column mask -> packed
+    term map of the minor of those rows and columns, times ``sign``.
+
+    A mask at level k must hold ``closed[k]``; a product that sets a bit
+    of ``over`` is dropped.
+    """
+    level: Dict[int, Dict[int, int]] = {0: {0: sign}}
+    for k, (row, need) in enumerate(zip(rows, closed)):
         nxt: Dict[int, Dict[int, int]] = {}
         while level:
             mask, minor = level.popitem()
-            below = 0
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    below += 1
+            for bit, entry in row:
+                if mask & bit or (mask | bit) & need != need:
                     continue
-                entry = row_terms[i][j]
-                if not entry or (mask | bit) & need != need:
-                    continue
-                # Choosing column j at row k adds one inversion per already
-                # chosen column above j; mask has k chosen columns in total.
-                sign = -1 if (k + below) & 1 else 1
-                acc = nxt.setdefault(mask | bit, {})
+                acc = nxt.get(mask | bit)
+                if acc is None:
+                    acc = nxt[mask | bit] = {}
+                # Choosing this column at row k adds one inversion per
+                # already chosen column above it; mask has k chosen columns.
+                sign = -1 if (k + (mask & (bit - 1)).bit_count()) & 1 else 1
                 for m1, c1 in entry.items():
                     c1s = c1 * sign
                     for m2, c2 in minor.items():
                         m = m1 + m2
+                        if over and m & over:
+                            continue
                         s = acc.get(m, 0) + c1s * c2
                         if s:
                             acc[m] = s
                         else:
                             del acc[m]
         level = {mask: terms for mask, terms in nxt.items() if terms}
-    packed.coefficients = level.get((1 << n) - 1, {})
-    return Polynomial._of(None, packed)
+    return level
+
+
+def _join(acc: Dict[int, int], upper: Dict[int, int], lower: Dict[int, int], sign: int, width: int) -> None:
+    """Add sign * upper * lower to ``acc``, without block counters.
+
+    Each side's terms are grouped by their counters (the bits from
+    ``width`` up); only groups that share no block are multiplied.
+    """
+    low = (1 << width) - 1
+
+    def by_blocks(minor: Dict[int, int], factor: int) -> Dict[int, List[Tuple[int, int]]]:
+        groups: Dict[int, List[Tuple[int, int]]] = {}
+        for m, c in minor.items():
+            groups.setdefault(m >> width, []).append((m & low, c * factor))
+        return groups
+
+    lower_groups = by_blocks(lower, 1)
+    for blocks_a, group_a in by_blocks(upper, sign).items():
+        for blocks_b, group_b in lower_groups.items():
+            if blocks_a & blocks_b:
+                continue
+            for m1, c1 in group_a:
+                for m2, c2 in group_b:
+                    m = m1 + m2
+                    s = acc.get(m, 0) + c1 * c2
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+
+
+def _split_level(rows, closed: Sequence[int]) -> int:
+    """How many ordered rows the top half takes; n keeps the one-sided DP.
+
+    A split pays off only where the one-sided DP narrows: at a level that
+    holds no more minors than some earlier level and fewer than some later
+    one, the split never builds the wider levels after it.  Among such
+    levels, take the one nearest the middle, whose two halves form the
+    smallest minors, then the narrowest (fewest joins), then the later
+    one (a shorter bottom half).  Each half keeps at least two rows: h = 1
+    and h = n - 1 are the one-sided DP read from either end.  The counts
+    depend only on the rows' supports (``_level_counts``); when they rise
+    at every level up to n - 2, none of those levels narrows, and the last
+    two are not counted.
+    """
+    n = len(rows)
+    if n < 4:
+        return n
+    counts: List[int] = []
+    for count in _level_counts(rows, closed):
+        counts.append(count)
+        if len(counts) == n - 2 and all(a < b for a, b in zip(counts, counts[1:])):
+            return n
+    narrow = [h for h in range(2, n - 1) if counts[h - 1] <= max(counts[: h - 1]) and counts[h - 1] < max(counts[h:])]
+    return min(narrow, key=lambda h: (abs(2 * h - n), counts[h - 1], -h), default=n)
+
+
+def _level_counts(rows, closed: Sequence[int]) -> Iterator[int]:
+    """How many minors each level of the one-sided DP holds, level by
+    level, from the rows' nonzero columns alone: every mask that the first
+    k rows can fill, one column per row, and that holds ``closed[k - 1]``."""
+    level = {0}
+    for row, need in zip(rows, closed):
+        level = {mask | bit for mask in level for bit, _ in row if not mask & bit and (mask | bit) & need == need}
+        yield len(level)
+
+
+def _rank_one_blocks(packed: PackedTerms, rows) -> List[List[Tuple[Dict[int, int], int]]]:
+    """The rank-one blocks of a packed matrix, each as the (entry, packed
+    monomial) places of its terms; blocks with one nonzero row are left
+    out, since no product holds two of their symbols.
+
+    A symbol x qualifies when every term holding it holds no other
+    non-concentration indeterminate and holds x to the first power, which
+    is (a).  Its profile at column j and monomial m is the vector of the
+    coefficients of m in column j, over the rows; (b) holds for a set of
+    such symbols when all their profiles are integer multiples of one
+    primitive vector, their direction.  The symbols that share a direction
+    form one block.
+    """
+    keep = ~packed.concentration_mask
+    starts = packed._field_starts | 1  # the lowest bit of every field
+    # (column bit, monomial) -> [(row, coefficient, entry), ...]
+    profiles: Dict[Tuple[int, int], List[Tuple[int, int, Dict[int, int]]]] = {}
+    mixed = 0  # every non-concentration bit of a term that is not one symbol to the first power
+    for i, row in enumerate(rows):
+        for bit, entry in row:
+            for m, c in entry.items():
+                x = m & keep
+                if x & (x - 1) or not x & starts:
+                    mixed |= x
+                elif (bit, m) in profiles:
+                    profiles[bit, m].append((i, c, entry))
+                else:
+                    profiles[bit, m] = [(i, c, entry)]
+    direction: Dict[int, Optional[tuple]] = {}
+    for (_, m), profile in profiles.items():
+        d = None
+        if len(profile) > 1:
+            g = gcd(*[c for _, c, _ in profile])
+            if profile[0][1] < 0:
+                g = -g
+            d = tuple([(i, c // g) for i, c, _ in profile])
+        if direction.setdefault(m & keep, d) != d:
+            direction[m & keep] = None
+    field_at = packed._field_at
+    blocks: Dict[tuple, List[Tuple[Dict[int, int], int]]] = {}
+    for (_, m), profile in profiles.items():
+        x = m & keep
+        d = direction[x]
+        _, shift, ones, _ = field_at[x.bit_length() - 1]
+        if d is not None and not (ones << shift) & mixed:
+            blocks.setdefault(d, []).extend((entry, m) for _, _, entry in profile)
+    return list(blocks.values())
 
 
 def _frontier_order(supports: Sequence[int]) -> List[int]:

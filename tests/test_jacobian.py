@@ -222,6 +222,20 @@ def test_census_counts_and_invariant():
     assert mono_format(census.anomalous_terms[0].concentration_part) == "c[B]*c[C]"
 
 
+def test_census_histogram_lists_coefficients_in_ascending_order():
+    # The 167-term general census of table1-v has coefficients -2, -1 and 1;
+    # the histogram lists them in that order, and so does the report, in
+    # whatever order the expansion gives its terms.
+    net = with_general_kinetics(fixture_network("table1-v"))
+    det = determinant_expand(build_general_jacobian(net))
+    census = sign_census(det, net.n)
+    assert list(census.coefficient_histogram.items()) == [(-2, 20), (-1, 146), (1, 1)]
+    assert list(census_report(net, census, [])["histogram"]) == ["-2", "-1", "1"]
+    packed = det.packed
+    packed.coefficients = dict(reversed(list(packed.coefficients.items())))
+    assert list(sign_census(det, net.n).coefficient_histogram) == [-2, -1, 1]
+
+
 def test_census_invariant_under_line_permutation():
     base = ["A+B <-> P", "B+C <-> Q", "C <-> 2A"]
     counts = set()

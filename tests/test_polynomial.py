@@ -26,10 +26,14 @@ from crncount.polynomial import (
     RATE_CONSTANT,
     DeterminantSizeError,
     Indeterminate,
+    PackedTerms,
     Polynomial,
     _exponent_fields,
     _frontier_order,
+    _level_counts,
     _permutation_sign,
+    _rank_one_blocks,
+    _split_level,
     concentration,
     determinant_expand,
     differentiate,
@@ -362,6 +366,143 @@ def test_determinant_is_independent_of_row_order_on_ring_family(n, monkeypatch):
     for kinetics in ("mass-action", "general"):
         for outflow in BOTH_OUTFLOWS:
             _assert_order_independent(_jacobian(ring(n), kinetics, outflow), monkeypatch, seed=n)
+
+
+def _for_every_split(J, monkeypatch):
+    """determinant_expand(J) once per split level h = 1..n (n: one-sided)."""
+    dets = []
+    for h in range(1, len(J) + 1):
+        monkeypatch.setattr(polynomial, "_split_level", lambda rows, closed, h=h: h)
+        dets.append(determinant_expand(J))
+    monkeypatch.undo()
+    return dets
+
+
+def _planted_blocks_matrix(rng, n, blocks):
+    """An n x n matrix holding ``blocks`` rank-one blocks u z^T in up to three
+    rate constants each, with pairwise non-parallel integer u, over
+    unstructured entries in concentrations, a stray rate constant and a
+    product of two rate constants; returns (matrix, the block symbol sets)."""
+    conc = [concentration(i, f"v{i}") for i in range(3)]
+    monomials = [(), ((conc[0], 1),), ((conc[1], 1),), ((conc[0], 1), (conc[2], 1)), ((conc[1], 2),)]
+    J = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
+    directions, planted = set(), []
+    for b in range(blocks):
+        while True:
+            u = [int(rng.integers(-2, 3)) if rng.random() < 0.6 else 0 for _ in range(n)]
+            nonzero = [c for c in u if c]
+            if len(nonzero) >= 2:
+                g = np.gcd.reduce(nonzero)
+                key = tuple(c // g * (1 if nonzero[0] > 0 else -1) for c in u)
+                if key not in directions:
+                    directions.add(key)
+                    break
+        xs = [rate_constant(f"b{b}x{t}") for t in range(3)]
+        used = set()
+        for i in range(n):
+            z = Polynomial.zero()
+            for x in xs:
+                if rng.random() < 0.4:
+                    mono = monomials[int(rng.integers(len(monomials)))]
+                    z = z + int(rng.integers(1, 4)) * Polynomial.term(1, mono) * PV(x)
+                    used.add(x)
+            for j in range(n):
+                J[j][i] = J[j][i] + u[j] * z
+        if used:
+            planted.append(frozenset(used))
+    stray, other = rate_constant("stray"), rate_constant("other")
+    for j in range(n):
+        for i in range(n):
+            if rng.random() < 0.5:
+                mono = monomials[int(rng.integers(len(monomials)))]
+                J[j][i] = J[j][i] + int(rng.integers(-3, 4)) * Polynomial.term(1, mono)
+    J[int(rng.integers(n))][int(rng.integers(n))] += PV(stray)
+    J[int(rng.integers(n))][int(rng.integers(n))] += 2 * PV(stray) * PV(other)
+    return J, planted
+
+
+def _block_symbols(J):
+    """The symbol sets of the rank-one blocks that determinant_expand finds in J."""
+    packed = PackedTerms(_exponent_fields(J))
+    rows = [[(1 << j, {packed.encode(m): c for m, c in entry.terms.items()}) for j, entry in enumerate(row) if entry]
+            for row in J]
+    keep = ~packed.concentration_mask
+
+    def symbol(m):
+        ((x, _),) = packed.decode(m & keep)  # the one non-concentration factor
+        return x
+
+    return {frozenset(symbol(m) for _, m in places) for places in _rank_one_blocks(packed, rows)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_planted_rank_one_blocks_match_reference_for_every_split(seed, monkeypatch):
+    # Seeded matrices on n = 4..7 rows with one to three planted blocks:
+    # every split level, the one-sided DP included, gives the reference
+    # expansion, and the blocks found are the planted ones.
+    rng = np.random.default_rng(seed)
+    for n in range(4, 8):
+        J, planted = _planted_blocks_matrix(rng, n, 1 + (seed + n) % 3)
+        assert _block_symbols(J) == set(planted)
+        expected = _reference_expand(J).terms
+        for h, det in enumerate(_for_every_split(J, monkeypatch), start=1):
+            assert det.terms == expected, (n, h)
+
+
+def test_symbols_that_break_a_block_keep_their_terms(monkeypatch):
+    # The x-part [[x, x], [x, -x]] has rank 2.  In the second and third
+    # matrices x's first column is rank one, but x also appears times w, or
+    # squared.  In each, x is no block, and both splits keep the terms of
+    # degree 2 or more in x.
+    x, w = PV(rate_constant("x")), PV(rate_constant("w"))
+    for J, det in [([[x, x], [x, -x]], -2 * x * x),
+                   ([[x, x * w], [x, ONE]], x - x * x * w),
+                   ([[x, x * x], [x, ONE]], x - x * x * x)]:
+        assert _block_symbols(J) == set()
+        assert _for_every_split(J, monkeypatch) == [det] * 2
+
+
+def test_ring_13_blocks_are_the_reversible_pairs():
+    net = ring(13)
+    pairs = {}
+    for r in net.reactions:
+        v = tuple(r.reaction_vector(net.n))
+        pairs.setdefault(max(v, tuple(-c for c in v)), set()).add(rate_constant(r.label))
+    assert len(pairs) == 7 and all(len(pair) == 2 for pair in pairs.values())
+    assert _block_symbols(augmented_mass_action_jacobian(net)) == {frozenset(pair) for pair in pairs.values()}
+
+
+def _split_of(supports):
+    """_split_level on the nonzero pattern ``supports``, in frontier order."""
+    order = _frontier_order(supports)
+    n = len(supports)
+    rows = [[(1 << j, None) for j in range(n) if supports[i] >> j & 1] for i in order]
+    closed = [(1 << n) - 1] * n
+    for k in range(n - 2, -1, -1):
+        closed[k] = closed[k + 1] & ~supports[order[k + 1]]
+    return list(_level_counts(rows, closed)), _split_level(rows, closed)
+
+
+@pytest.mark.parametrize("name", [*sorted(NETWORK_FIXTURES), "ring-11", "ring-13"])
+def test_level_counts_are_the_dp_levels(name):
+    net = ring(int(name[5:])) if name.startswith("ring-") else fixture_network(name)
+    supports = _supports(augmented_mass_action_jacobian(net))
+    assert _split_of(supports)[0] == dp_level_masks(supports, _frontier_order(supports))
+
+
+def test_split_level_takes_the_narrow_level_nearest_the_middle():
+    # Ring n alternates 10 and 24 minors in its middle levels: the split
+    # takes the narrow level nearest n / 2.
+    for n, h in [(7, 4), (9, 4), (11, 6), (13, 6), (15, 8), (17, 8), (19, 10)]:
+        counts, split = _split_of(_supports(augmented_mass_action_jacobian(ring(n))))
+        assert split == h and counts[h - 1] == 10, n
+    # No narrowing: ring 5 ([3, 6, 10, 5, 1]) and a dense matrix rise and
+    # then fall; a lower-triangular matrix holds one minor per level.
+    assert _split_of(_supports(augmented_mass_action_jacobian(ring(5)))) == ([3, 6, 10, 5, 1], 5)
+    assert _split_of([0b111111] * 6) == ([6, 15, 20, 15, 6, 1], 6)
+    assert _split_of([(2 << i) - 1 for i in range(6)]) == ([1] * 6, 6)
+    # Two and three rows never split: each half keeps two rows.
+    assert _split_of([0b11, 0b11])[1] == 2 and _split_of([0b111] * 3)[1] == 3
 
 
 def test_frontier_order_breaks_ties_by_nonzeros_then_index():

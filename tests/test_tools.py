@@ -90,7 +90,7 @@ def job_diff(monkeypatch):
     monkeypatch.setattr(census_reference, "ring", lambda n: ring)
 
     def run_checkout(checkout, seeds):
-        return {(seed, job): ("census-api", code, text) for seed in seeds for job, code, text in module.censuses(seed)}
+        return {(seed, job): ("census-api", code, text) for seed, job, code, text in module.census_jobs(seeds)}
 
     monkeypatch.setattr(module, "run_checkout", run_checkout)
     return module
@@ -114,6 +114,17 @@ def test_job_diff_identical_sides_exit_0(job_diff, capsys):
     out = capsys.readouterr().out
     assert _summary(out, "census-api") == ["summary census-api: 0 of 80 jobs differ"]
     assert _summary(out, "count") == ["summary count: 0 of 0 jobs differ"]
+
+
+def test_job_diff_runs_the_fixtures_and_rings_once(job_diff, capsys):
+    # The 12 fixtures and 5 rings run once, without a seed, in 4 variants
+    # each; every seed adds its 3 random networks in 4 variants.
+    jobs = list(job_diff.census_jobs([5, 6]))
+    assert len(jobs) == 68 + 2 * 12
+    assert [seed for seed, *_ in jobs] == [None] * 68 + [5] * 12 + [6] * 12
+    assert all(job.startswith(f"random-{seed}-") for seed, job, *_ in jobs if seed is not None)
+    assert job_diff.main(["parent", "parent", "5", "6"]) == 0
+    assert _summary(capsys.readouterr().out, "census-api") == ["summary census-api: 0 of 92 jobs differ"]
 
 
 def test_job_diff_names_a_census_change(job_diff, monkeypatch, capsys):

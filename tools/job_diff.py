@@ -8,28 +8,30 @@ For each seed, builds the census, count and multistat job lists of each
 checkout's ``bench/workloads.py`` and runs every job once, one checkout at a
 time, each in a child process that imports the program from that
 checkout's ``src``.  The child also runs the census API on every network
-fixture, the Table-1 ring family at n = 5, 7, ..., 13 and RANDOM_NETWORKS
-networks from the checkout's ``tests/census_reference.random_network_text``
-(every third one general), each in both kinetics and both outflow modes:
-each configuration is one ``census-api`` job, ``name kinetics outflow``,
-whose output holds every Jacobian entry, the sorted expansion terms, the
-``SignSummary`` repr, the fields of every ``DominanceCondition`` and the
-census report, or the error it raises (exit 1).  For each job whose output
-differs it prints
+fixture and the Table-1 ring family at n = 5, 7, ..., 13 once, since no
+seed changes them, and for each seed on RANDOM_NETWORKS networks from the
+checkout's ``tests/census_reference.random_network_text`` (every third one
+general), each in both kinetics and both outflow modes: each configuration
+is one ``census-api`` job, ``name kinetics outflow``, whose output holds
+every Jacobian entry, the sorted expansion terms, the ``SignSummary`` repr,
+the fields of every ``DominanceCondition`` and the census report, or the
+error it raises (exit 1).  For each job whose output differs it prints
 
     seed job: <exit> P -> C                    (when the exit codes differ)
     seed job: path P -> C [rel R]              (each differing JSON value)
 
-where path names the value inside the job's JSON output (``homotopy.steps``,
-``equilibria[0].c[2]``) and a float pair carries its relative change
-|P - C| / max(|P|, |C|).  An output that is not JSON is compared as text.
+where seed is left out for a fixture or ring configuration, path names the
+value inside the job's JSON output (``homotopy.steps``, ``equilibria[0].c[2]``)
+and a float pair carries its relative change |P - C| / max(|P|, |C|).  An
+output that is not JSON is compared as text.
 The last lines summarise, per workload and for ``census-api``, how many
 jobs differ and, for each path that differs (list indices dropped), the
 largest relative change of its floats, or that it changed.  Exit code 0
 when every job matches, 1 when any differs, 2 on a usage error.
 
 ``--emit CHECKOUT SEED...`` is the child's mode: it prints one JSON line
-{seed, workload, job, code, text} per job.
+{seed, workload, job, code, text} per job, with seed null where no seed
+applies.
 """
 
 import json
@@ -40,6 +42,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 WORKLOADS = ("census", "count", "multistat")
 RANDOM_NETWORKS = 400
@@ -56,12 +59,21 @@ def emit(checkout: Path, seeds) -> None:
                     result = job.run()
                     line = {"seed": seed, "workload": workload, "job": job.name, "code": result.code, "text": result.text}
                     print(json.dumps(line), flush=True)
+    for seed, job, code, text in census_jobs(seeds):
+        print(json.dumps({"seed": seed, "workload": "census-api", "job": job, "code": code, "text": text}), flush=True)
+
+
+def census_jobs(seeds):
+    """(seed, job, exit, output) of every census-api job: the fixtures and
+    rings once, with seed None, then the random networks of each seed."""
+    for seed in (None, *seeds):
         for job, code, text in censuses(seed):
-            print(json.dumps({"seed": seed, "workload": "census-api", "job": job, "code": code, "text": text}), flush=True)
+            yield seed, job, code, text
 
 
-def censuses(seed: int):
-    """(job, exit, output) of the census API on every census configuration of one seed."""
+def censuses(seed: Optional[int]):
+    """(job, exit, output) of the census API on the random networks of one
+    seed, or with seed None on the network fixtures and the ring family."""
     from census_reference import random_network_text, ring
     from crncount.dsl import parse_network
     from crncount.fixtures import NETWORK_FIXTURES, fixture_network
@@ -70,10 +82,12 @@ def censuses(seed: int):
     from crncount.network import with_general_kinetics
     from crncount.polynomial import determinant_expand
 
-    rng = random.Random(seed)
-    nets = [(name, fixture_network(name)) for name in sorted(NETWORK_FIXTURES)]
-    nets += [(f"ring-{n}", ring(n)) for n in range(5, 14, 2)]
-    nets += [(f"random-{seed}-{i}", random_network_text(rng, general=i % 3 == 2)) for i in range(RANDOM_NETWORKS)]
+    if seed is None:
+        nets = [(name, fixture_network(name)) for name in sorted(NETWORK_FIXTURES)]
+        nets += [(f"ring-{n}", ring(n)) for n in range(5, 14, 2)]
+    else:
+        rng = random.Random(seed)
+        nets = [(f"random-{seed}-{i}", random_network_text(rng, general=i % 3 == 2)) for i in range(RANDOM_NETWORKS)]
     for name, net in nets:
         for kinetics in ("mass-action", "general"):
             for outflow in ("unit", "symbolic"):
@@ -159,10 +173,12 @@ def main(argv) -> int:
     seeds = list(map(int, argv[2:]))
     parent, change = (run_checkout(Path(arg).resolve(), seeds) for arg in argv[:2])
     summary = {row: {"jobs": 0, "differ": 0, "paths": {}} for row in (*WORKLOADS, "census-api")}
-    for key in sorted(set(parent) | set(change)):
+    # Seed-free jobs first, then by seed and job.
+    for key in sorted(set(parent) | set(change), key=lambda key: (key[0] is not None, key[0] or 0, key[1])):
         seed, job = key
+        label = job if seed is None else f"{seed} {job}"
         if key not in parent or key not in change:
-            print(f"{seed} {job}: only in {'change' if key in change else 'parent'}")
+            print(f"{label}: only in {'change' if key in change else 'parent'}")
             continue
         (workload, code_p, text_p), (_, code_c, text_c) = parent[key], change[key]
         row = summary[workload]
@@ -174,7 +190,7 @@ def main(argv) -> int:
         changes += differences(_parse(text_p), _parse(text_c))
         for path, a, b in changes:
             rel = relative_change(a, b)
-            print(f"{seed} {job}: {path or '<text>'} {a!r} -> {b!r}" + ("" if rel is None else f" rel {rel:.2e}"))
+            print(f"{label}: {path or '<text>'} {a!r} -> {b!r}" + ("" if rel is None else f" rel {rel:.2e}"))
             pattern = re.sub(r"\[\d+\]", "[]", path) or "<text>"
             seen = row["paths"].setdefault(pattern, rel)
             row["paths"][pattern] = None if seen is None or rel is None else max(seen, rel)
